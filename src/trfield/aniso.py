@@ -14,7 +14,7 @@ from .quadrature import gauss_legendre
 
 __all__ = [
     "AnisoError", "EHomogeneousFn", "PolarPoint", "norm0", "norm0_many",
-    "polar_decompose", "tau_many", "phi_eval", "phi_extrema",
+    "polar_decompose", "tau_many", "phi_extrema",
 ]
 
 
@@ -272,11 +272,6 @@ class EHomogeneousFn:
     def from_json(cls, doc):
         return cls(doc["variant"], np.array(doc["E"], dtype=float),
                    rho=doc.get("rho"))
-
-
-def phi_eval(phi, x):
-    """Value of a built-in E-homogeneous function at ``x``."""
-    return phi(x)
 
 
 def _sphere_directions(d, n):

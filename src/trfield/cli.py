@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from ._accel import set_num_threads
+from .aniso import AnisoError
 from .covariance import (CovarianceError, CovarianceModel,
                          IsotropicGaussianSpec, TFBMCovariance,
                          ibtofbf_cov, ibtofbf_cov_spectral_quadrature,
@@ -44,10 +45,13 @@ from .covariance import (CovarianceError, CovarianceModel,
 from .estimate import (EstimateError, box_dimension, directional_holder,
                        semi_lrd_profile)
 from .kernels import FieldSpec, KernelError, existence_check
+from .matfun import MatfunError
+from .quadrature import QuadratureError
 from .simulate import (GridSpec, Realization, SimulationError,
                        gaussian_exact_many, ma_synthesis,
                        sas_truncation_report, spectral_synthesis,
                        tfsm_synthesis)
+from .specfun import SpecfunError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -381,9 +385,13 @@ def main(argv=None):
         return EXIT_IO
     try:
         return _COMMANDS[args.command](config, run, args)
-    except (SchemaError, KernelError, CovarianceError, EstimateError) as exc:
+    except (SchemaError, KernelError, CovarianceError, EstimateError,
+            AnisoError, MatfunError, SpecfunError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except QuadratureError as exc:
+        print(f"numerical tolerance failure: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
     except SimulationError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_EXISTENCE

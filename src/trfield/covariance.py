@@ -17,7 +17,7 @@ import numpy as np
 
 from .quadrature import (QuadratureError, adaptive_gk, integrate_decaying,
                          oscillatory_tail)
-from .specfun import (bessel_j_batch, bessel_k, bessel_k_batch, beta_fn,
+from .specfun import (bessel_j_batch, bessel_k_batch, beta_fn,
                       gamma_fn, hyp2f1_batch)
 
 __all__ = [
@@ -87,7 +87,6 @@ class IsotropicGaussianSpec:
             raise CovarianceError("Bessel closed form requires min h > d/4")
         self.q_matrix = np.linalg.inv(self.p.T @ self.p)
         self.p_inv = np.linalg.inv(self.p)
-        self._cx2_cache = {}
         self._pair_cache = {}
 
     def to_json(self):
@@ -99,53 +98,151 @@ class IsotropicGaussianSpec:
         return cls(doc["variant"], doc["d"], doc["n"], doc["lambda"],
                    np.array(doc["H"], dtype=float))
 
-    def _pairs(self):
-        return [(i, j) for i in range(self.n) for j in range(self.n)]
-
-    def _assemble(self, scalars):
-        """P (Q o scalars) P^T for an (n, n) array of per-pair scalars."""
+    def _assemble(self, pair_fn, count):
+        """P (Q o S) P^T for each of ``count`` stacked (n, n) matrices S,
+        with S[:, i, j] = S[:, j, i] = pair_fn(i, j) (symmetric pairs)."""
+        scalars = np.empty((count, self.n, self.n))
+        for i in range(self.n):
+            for j in range(i, self.n):
+                scalars[:, i, j] = scalars[:, j, i] = pair_fn(i, j)
         return self.p @ (self.q_matrix * scalars) @ self.p.T
+
+
+# ---------------------------------------------------------------------------
+# pinned-stationary covariance core
+#
+# Every field here is X(x) = Y(x) - Y(0) with Y stationary and isotropic,
+# so Var X(x) = V(|x|) for one radial n x n function V with V(0) = 0, and
+#     C(x, x') = (V(|x|) + V(|x'|) - V(|x - x'|)) / 2.
+# A model supplies ``v_pos``: V at every positive radius of an array,
+# returned as an (R, n, n) stack, evaluated in one batch.
+
+def _site_norms(points):
+    """(|x_a|, |x_a - x_b|) of an (N, d) site array; the sums of squares run
+    over the axes in one order, so |0 - x| and |x| agree to the last bit."""
+    first, *rest = points.T
+    norm2 = first * first
+    dist2 = first[:, None] - first[None, :]
+    dist2 *= dist2
+    for col in rest:
+        norm2 += col * col
+        diff = col[:, None] - col[None, :]
+        diff *= diff
+        dist2 += diff
+    return np.sqrt(norm2), np.sqrt(dist2, out=dist2)
+
+
+def _pinned_variance(v_pos, radii, n):
+    """V at every radius of an array, (R, n, n): ``v_pos`` once on the
+    distinct positive radii, exactly 0 at radius 0."""
+    uniq, inverse = np.unique(np.asarray(radii, dtype=float),
+                              return_inverse=True)
+    v = np.zeros((uniq.size, n, n))
+    pos = uniq > 0
+    if pos.any():
+        v[pos] = v_pos(uniq[pos])
+    return v[inverse.ravel()]
+
+
+def _pinned_gram(v_pos, n, points, check_psd):
+    """Gram over sites from V on the unique radii {|x_a|} u {|x_a - x_b|}.
+
+    Radii are rounded to 12 decimals before deduplication, so that offsets
+    equal up to rounding share one evaluation.  The origin's row and column
+    are exactly 0.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n_sites = pts.shape[0]
+    norms, dist = _site_norms(pts)
+    radii = np.concatenate([norms, dist.ravel()])
+    del dist
+    np.round(radii, 12, out=radii)
+    uniq = np.unique(radii)
+    inverse = np.searchsorted(uniq, radii)
+    del radii
+    v = _pinned_variance(v_pos, uniq, n)
+    v = 0.5 * (v + v.transpose(0, 2, 1))
+    v_site = v[inverse[:n_sites]]
+    g = v_site[:, None] + v_site[None, :]
+    g -= v[inverse[n_sites:]].reshape(g.shape)
+    g *= 0.5
+    g = g.transpose(0, 2, 1, 3).reshape(n_sites * n, n_sites * n)
+    if check_psd:
+        w = np.linalg.eigvalsh(0.5 * (g + g.T))
+        if w.min() < -1e-8 * max(np.trace(g), 1e-300):
+            raise CovarianceError(
+                f"gram matrix not PSD: min eigenvalue {w.min():.3e}")
+    return g
+
+
+def _pinned_cov(v_pos, n, x, x2):
+    """C(x, x') from one batched V call on |x|, |x'| and |x - x'|."""
+    pts = np.stack([np.atleast_1d(np.asarray(x, dtype=float)),
+                    np.atleast_1d(np.asarray(x2, dtype=float))])
+    norms, dist = _site_norms(pts)
+    v = _pinned_variance(v_pos, [norms[0], norms[1], dist[0, 1]], n)
+    return 0.5 * (v[0] + v[1] - v[2])
+
+
+def _pinned_point_variance(v_pos, n, x):
+    """Var X(x) = V(|x|)."""
+    norms, _ = _site_norms(np.atleast_2d(np.asarray(x, dtype=float)))
+    return _pinned_variance(v_pos, norms, n)[0]
 
 
 # ---------------------------------------------------------------------------
 # building-block integrals for the exponentially tempered kernel
 
 def _t_integral(a, b, s):
-    """int_0^inf e^{-s v} v^a (1+v)^b dv for a > -1, s > 0."""
-    head, _ = adaptive_gk(lambda v: np.exp(-s * v) * v ** a * (1 + v) ** b,
-                          0.0, 1.0, rtol=1e-13, atol=1e-300,
+    """int_0^inf e^{-s v} v^a (1+v)^b dv for a > -1, at every s > 0 of an
+    array (one vector-valued quadrature; the tail bound is taken at the
+    smallest s, whose integrand decays slowest)."""
+    s = np.asarray(s, dtype=float)
+
+    def f(v):
+        v = v[:, None]
+        return np.exp(-s * v) * v ** a * (1 + v) ** b
+
+    head, _ = adaptive_gk(f, 0.0, 1.0, rtol=1e-13, atol=1e-300,
                           max_intervals=16384)
+    s_min = float(s.min())
 
     def tail_bound(r):
-        expo = -s * r + max(a + b, 0.0) * math.log(r) if r > 1 else -s * r
-        return 4.0 * 2.0 ** abs(b) * math.exp(max(expo, -745.0)) / s
+        expo = -s_min * r + max(a + b, 0.0) * math.log(r) if r > 1 \
+            else -s_min * r
+        return 4.0 * 2.0 ** abs(b) * math.exp(max(expo, -745.0)) / s_min
 
     tail = integrate_decaying(
-        lambda v: np.exp(-s * v) * v ** a * (1 + v) ** b, 1.0,
-        rtol=1e-13, atol=1e-300 + 1e-15 * abs(head), first_width=1.0,
-        growth=2.0, tail_bound=tail_bound)
+        f, 1.0, rtol=1e-13, atol=1e-300 + 1e-15 * float(np.max(np.abs(head))),
+        first_width=1.0, growth=2.0, tail_bound=tail_bound)
     return head + tail
 
 
 def _cross_integral(nu, nup, mu, d):
-    """X = int e^{-mu(|y| + |y-e1|)} |y|^nu |y-e1|^nup dy over R^d."""
+    """X = int e^{-mu(|y| + |y-e1|)} |y|^nu |y-e1|^nup dy over R^d, at every
+    mu > 0 of an array."""
+    mu = np.asarray(mu, dtype=float)
     if d == 1:
-        middle = math.exp(-mu) * beta_fn(nu + 1.0, nup + 1.0)
-        t1 = math.exp(-mu) * _t_integral(nu, nup, 2.0 * mu)
-        t2 = math.exp(-mu) * _t_integral(nup, nu, 2.0 * mu)
-        return middle + t1 + t2
+        t1 = _t_integral(nu, nup, 2.0 * mu)
+        t2 = t1 if nup == nu else _t_integral(nup, nu, 2.0 * mu)
+        return np.exp(-mu) * (beta_fn(nu + 1.0, nup + 1.0) + t1 + t2)
     if d == 2:
         inner = _cross_inner_d2
     elif d == 3:
         inner = _cross_inner_d3
     else:
         raise CovarianceError("cross integral implemented for d <= 3")
+    out = np.empty(mu.shape)
+    for k, m in enumerate(mu.ravel().tolist()):
+        out.flat[k] = _cross_integral_outer(inner, nu, nup, m, d)
+    return out
 
+
+def _cross_integral_outer(inner, nu, nup, mu, d):
+    """Radial integral over [0, inf) of the weighted angular ``inner``,
+    which integrates all outer nodes of one refinement step at once."""
     def outer(rho_arr):
-        vals = np.empty_like(rho_arr)
-        for i, rho in enumerate(rho_arr):
-            vals[i] = inner(rho, nup, mu)
-        return np.exp(-mu * rho_arr) * rho_arr ** (nu + d - 1) * vals
+        return inner(rho_arr, nu, nup, mu)
 
     head, _ = adaptive_gk(outer, 0.0, 2.0, rtol=1e-9, atol=1e-300,
                           points=(1.0,), max_intervals=8192)
@@ -154,56 +251,77 @@ def _cross_integral(nu, nup, mu, d):
         expo = -2.0 * mu * r + (nu + nup + d - 1) * math.log(max(r, 1.0))
         return _surface_area(d) * math.exp(max(expo, -745.0)) / mu
 
-    tail = integrate_decaying(outer, 2.0, rtol=1e-9,
-                              atol=1e-12 * abs(head) + 1e-300,
-                              first_width=1.0, tail_bound=tail_bound)
-    return head + tail
+    return head + integrate_decaying(outer, 2.0, rtol=1e-9,
+                                     atol=1e-12 * abs(head) + 1e-300,
+                                     first_width=1.0, tail_bound=tail_bound)
 
 
-def _cross_inner_d2(rho, nup, mu):
-    """int_{S^1} e^{-mu s} s^nup dtheta with s = |rho e_theta - e1|."""
-    a, b = abs(rho - 1.0), rho + 1.0
+# The inner integrals below run one vector-valued quadrature for all outer
+# nodes rho at once.  Each component carries the outer weight
+# e^{-mu rho} rho^{nu+d-1}, so that the shared error criterion (relative to
+# the largest component) measures every component's error on the scale of
+# its contribution to the outer integral.
+
+def _cross_inner_d2(rho, nu, nup, mu):
+    """e^{-mu rho} rho^{nu+1} int_{S^1} e^{-mu s} s^nup dtheta with
+    s = |rho e_theta - e1|, for an array of rho > 0."""
+    a, b = np.abs(rho - 1.0), rho + 1.0
     c2 = 0.5 * (a * a + b * b)
     w2 = 0.5 * (b * b - a * a)
+    weight = np.exp(-mu * rho) * rho ** (nu + 1.0)
 
     def f(phi):
-        s = np.sqrt(np.maximum(c2 + w2 * np.sin(phi), 0.0))
+        s = np.sqrt(np.maximum(c2 + w2 * np.sin(phi)[:, None], 0.0))
         s = np.maximum(s, 1e-300)
-        return np.exp(-mu * s) * s ** nup
+        return weight * np.exp(-mu * s) * s ** nup
 
     val, _ = adaptive_gk(f, -0.5 * math.pi, 0.5 * math.pi,
-                         rtol=1e-10, atol=1e-14, max_intervals=4096)
+                         rtol=1e-10, atol=1e-300, max_intervals=4096)
     return 2.0 * val
 
 
-def _cross_inner_d3(rho, nup, mu):
-    """(2 pi / rho) int_{|rho-1|}^{rho+1} e^{-mu s} s^{nup+1} ds."""
-    a, b = abs(rho - 1.0), rho + 1.0
-    if rho == 0.0:
-        return _surface_area(3) * math.exp(-mu) # s == 1 on the whole sphere
-    val, _ = adaptive_gk(lambda s: np.exp(-mu * s) * s ** (nup + 1.0),
-                         a, b, rtol=1e-11, atol=1e-300, max_intervals=4096)
-    return 2.0 * math.pi * val / rho
+def _cross_inner_d3(rho, nu, nup, mu):
+    """e^{-mu rho} rho^{nu+2} (2 pi / rho) int_{|rho-1|}^{rho+1}
+    e^{-mu s} s^{nup+1} ds for an array of rho > 0; s = a + (b - a) t
+    maps every component to t in [0, 1]."""
+    a, b = np.abs(rho - 1.0), rho + 1.0
+    weight = 2.0 * math.pi * (b - a) / rho \
+        * np.exp(-mu * rho) * rho ** (nu + 2.0)
+
+    def f(t):
+        s = a + (b - a) * t[:, None]
+        return weight * np.exp(-mu * s) * s ** (nup + 1.0)
+
+    val, _ = adaptive_gk(f, 0.0, 1.0, rtol=1e-11, atol=1e-300,
+                         max_intervals=4096)
+    return val
 
 
 def _pair_integral_ma(spec, i, j, mu):
-    """I(h_i, h_j; mu): unit-displacement kernel product integral."""
-    key = (i, j, mu)
-    if key in spec._pair_cache:
-        return spec._pair_cache[key]
-    d = spec.d
-    nu = spec.h[i] - d / 2.0
-    nup = spec.h[j] - d / 2.0
-    if mu == 0.0:
-        val = _pair_integral_untempered(nu, nup, d)
-    else:
-        nusum = nu + nup
-        g_term = _surface_area(d) * gamma_fn(nusum + d) / \
-            (2.0 * mu) ** (nusum + d)
-        val = 2.0 * (g_term - _cross_integral(nu, nup, mu, d))
-    spec._pair_cache[key] = val
-    spec._pair_cache[(j, i, mu)] = val
-    return val
+    """I(h_i, h_j; mu): unit-displacement kernel product integral, for a
+    scalar mu or an array of them.  Values are cached per mu on the spec;
+    the uncached mu go through one batched quadrature."""
+    mus = np.asarray(mu, dtype=float)
+    cache = spec._pair_cache
+    todo = sorted({m for m in mus.ravel().tolist() if (i, j, m) not in cache})
+    if todo:
+        d = spec.d
+        nu = spec.h[i] - d / 2.0
+        nup = spec.h[j] - d / 2.0
+        t = np.array(todo)
+        vals = np.empty_like(t)
+        zero = t == 0.0
+        if zero.any():
+            vals[zero] = _pair_integral_untempered(nu, nup, d)
+        if not zero.all():
+            tp = t[~zero]
+            g_term = _surface_area(d) * gamma_fn(nu + nup + d) / \
+                (2.0 * tp) ** (nu + nup + d)
+            vals[~zero] = 2.0 * (g_term - _cross_integral(nu, nup, tp, d))
+        for m, v in zip(todo, vals.tolist()):
+            cache[(i, j, m)] = cache[(j, i, m)] = v
+    out = np.array([cache[(i, j, m)] for m in mus.ravel().tolist()])
+    return out.reshape(mus.shape) if mus.ndim else float(out[0])
 
 
 def _pair_integral_untempered(nu, nup, d):
@@ -245,36 +363,27 @@ def itofbf_cx2(spec, r):
     if r < 0:
         raise CovarianceError("radius must be nonnegative")
     mu = r * spec.lambda_
-    key = mu
-    if key not in spec._cx2_cache:
-        scalars = np.empty((spec.n, spec.n))
-        for i, j in spec._pairs():
-            scalars[i, j] = _pair_integral_ma(spec, i, j, mu)
-        spec._cx2_cache[key] = spec._assemble(scalars)
-    return spec._cx2_cache[key]
+    return spec._assemble(lambda i, j: _pair_integral_ma(spec, i, j, mu), 1)[0]
+
+
+def _itofbf_v(spec, radii):
+    """V(rho) = rho^H C^2(rho lambda) rho^{H^T} at every rho > 0 of an array
+    (one batched pair quadrature per eigen-pair)."""
+    mu = radii * spec.lambda_
+    return spec._assemble(
+        lambda i, j: _pair_integral_ma(spec, i, j, mu)
+        * radii ** (spec.h[i] + spec.h[j]), radii.size)
 
 
 def itofbf_variance(spec, x):
     """Var B(x) = |x|^H C^2(|x| lambda) |x|^{H^T}."""
-    r = float(np.linalg.norm(np.atleast_1d(x)))
-    if r == 0.0:
-        return np.zeros((spec.n, spec.n))
-    mu = r * spec.lambda_
-    scalars = np.empty((spec.n, spec.n))
-    for i, j in spec._pairs():
-        scalars[i, j] = _pair_integral_ma(spec, i, j, mu) \
-            * r ** (spec.h[i] + spec.h[j])
-    return spec._assemble(scalars)
+    return _pinned_point_variance(functools.partial(_itofbf_v, spec),
+                                  spec.n, x)
 
 
 def itofbf_cov(spec, x, x2):
     """Covariance from the variance function (stationary increments)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    v1 = itofbf_variance(spec, x)
-    v2 = itofbf_variance(spec, x2)
-    v12 = itofbf_variance(spec, x - x2)
-    return 0.5 * (v1 + v2 - v12)
+    return _pinned_cov(functools.partial(_itofbf_v, spec), spec.n, x, x2)
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +404,26 @@ def _itofbf_density_scalar(h, lam, d, rho):
     return c * hyp2f1_batch(a, a + 0.5, d / 2.0, z)
 
 
+def _density_matrix(spec, xi, radial):
+    """P diag(radial(|xi|)) P^{-1} for one frequency (shape (d,)), giving
+    (n, n), or an (M, d) array of them, giving (M, n, n); ``radial`` maps
+    the (M,) norms to the (M, n) eigen-amplitudes."""
+    xi = np.asarray(xi, dtype=float)
+    rho = np.linalg.norm(np.atleast_2d(xi), axis=1)
+    amp = (spec.p * radial(rho)[:, None, :]) @ spec.p_inv
+    return amp if xi.ndim == 2 else amp[0]
+
+
 def itofbf_spectral_density(spec, xi):
-    """Matrix spectral amplitude A(xi); Cov = int (4-term) A Q A^T."""
+    """Matrix spectral amplitude A(xi); Cov = int (4-term) A Q A^T.
+
+    ``xi`` is one frequency or an (M, d) array of them (one 2F1 batch per
+    Hurst eigenvalue)."""
     if spec.variant != "ITOFBF":
         raise CovarianceError("itofbf_spectral_density needs ITOFBF")
-    rho = float(np.linalg.norm(np.atleast_1d(xi)))
-    vals = np.array([float(_itofbf_density_scalar(h, spec.lambda_, spec.d,
-                                                  [rho])[0])
-                     for h in spec.h])
-    return (spec.p * vals) @ spec.p_inv
+    return _density_matrix(spec, xi, lambda rho: np.stack(
+        [_itofbf_density_scalar(h, spec.lambda_, spec.d, rho)
+         for h in spec.h], axis=1))
 
 
 def _angular_average(d, z):
@@ -384,6 +504,32 @@ def _radial_transform(env, u_norm, d, p_decay, head_scale, rtol=1e-9):
     return omega * (head + mid - osc_pre - osc_tail)
 
 
+def _spectral_v(spec, radii, rtol):
+    """V(rho) = 2 c T(rho) per eigen-pair at every rho > 0 of an array, with
+    T the radial transform of the product of spectral amplitudes against
+    the angular average (c = C*^2 for the Bessel variant, else 1)."""
+    lam, d = spec.lambda_, spec.d
+
+    def pair(i, j):
+        hi_, hj_ = spec.h[i], spec.h[j]
+        if spec.variant == "ITOFBF":
+            def env(r):
+                amp = _itofbf_density_scalar(hi_, lam, d, r)
+                return amp * (amp if i == j else
+                              _itofbf_density_scalar(hj_, lam, d, r))
+            p_decay, c = d + hi_ + hj_, 1.0
+        else:
+            def env(r):
+                return (lam ** 2 + np.asarray(r, dtype=float) ** 2) \
+                    ** (-(hi_ + hj_))
+            p_decay, c = 2.0 * (hi_ + hj_), SPECTRAL_C_STAR ** 2
+        return 2.0 * c * np.array([
+            _radial_transform(env, un, d, p_decay, lam, rtol=rtol)
+            for un in radii.tolist()])
+
+    return spec._assemble(pair, radii.size)
+
+
 def itofbf_cov_spectral(spec, x, x2, rtol=1e-9):
     """Covariance through the harmonizable representation.
 
@@ -394,40 +540,40 @@ def itofbf_cov_spectral(spec, x, x2, rtol=1e-9):
     """
     if spec.variant != "ITOFBF":
         raise CovarianceError("itofbf_cov_spectral needs ITOFBF")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    lam, d = spec.lambda_, spec.d
-    scalars = np.zeros((spec.n, spec.n))
-    norms = (float(np.linalg.norm(x)), float(np.linalg.norm(x2)),
-             float(np.linalg.norm(x - x2)))
-    for i, j in spec._pairs():
-        if j < i:
-            scalars[i, j] = scalars[j, i]
-            continue
-        hi_, hj_ = spec.h[i], spec.h[j]
-
-        def env(r):
-            return (_itofbf_density_scalar(hi_, lam, d, r)
-                    * _itofbf_density_scalar(hj_, lam, d, r))
-
-        p_decay = d + hi_ + hj_
-        ts = [_radial_transform(env, un, d, p_decay, lam, rtol=rtol)
-              for un in norms]
-        scalars[i, j] = ts[0] + ts[1] - ts[2]
-    return spec._assemble(scalars)
+    return _pinned_cov(functools.partial(_spectral_v, spec, rtol=rtol),
+                       spec.n, x, x2)
 
 
 # ---------------------------------------------------------------------------
 # Bessel-tempered field: closed forms and quadrature twins
 
-def _bes_s_scalar(s_sum, u, lam, d):
-    """S(u): radial Fourier transform of (lam^2 + r^2)^{-s_sum}."""
-    if u == 0.0:
-        return math.pi ** (d / 2.0) * lam ** (d - 2.0 * s_sum) \
-            * gamma_fn(s_sum - d / 2.0) / gamma_fn(s_sum)
-    return (2.0 * math.pi) ** (d / 2.0) * lam ** (d / 2.0 - s_sum) \
-        * 2.0 ** (1.0 - s_sum) / gamma_fn(s_sum) \
-        * u ** (s_sum - d / 2.0) * bessel_k(d / 2.0 - s_sum, lam * u)
+def _bes_s(s_sum, u, lam, d):
+    """S(u): radial Fourier transform of (lam^2 + r^2)^{-s_sum}, at every
+    u >= 0 of an array (one bessel_k_batch call); S(0) is the u -> 0 limit
+    (Beta-function constant term)."""
+    u = np.asarray(u, dtype=float)
+    out = np.full(u.shape, math.pi ** (d / 2.0) * lam ** (d - 2.0 * s_sum)
+                  * gamma_fn(s_sum - d / 2.0) / gamma_fn(s_sum))
+    pos = u > 0
+    if pos.any():
+        up = u[pos]
+        out[pos] = (2.0 * math.pi) ** (d / 2.0) * lam ** (d / 2.0 - s_sum) \
+            * 2.0 ** (1.0 - s_sum) / gamma_fn(s_sum) \
+            * up ** (s_sum - d / 2.0) \
+            * bessel_k_batch(d / 2.0 - s_sum, lam * up)
+    return out
+
+
+def _ibtofbf_v(spec, radii):
+    """V(rho) = 2 C*^2 (S(0) - S(rho)) per eigen-pair at every rho > 0 of an
+    array (one bessel_k_batch call per eigen-pair sum)."""
+    u = np.concatenate([[0.0], radii])
+
+    def pair(i, j):
+        s = _bes_s(spec.h[i] + spec.h[j], u, spec.lambda_, spec.d)
+        return 2.0 * SPECTRAL_C_STAR ** 2 * (s[0] - s[1:])
+
+    return spec._assemble(pair, radii.size)
 
 
 def ibtofbf_cov(spec, x, x2):
@@ -438,26 +584,12 @@ def ibtofbf_cov(spec, x, x2):
     """
     if spec.variant != "IBTOFBF":
         raise CovarianceError("ibtofbf_cov needs an IBTOFBF spec")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    lam, d = spec.lambda_, spec.d
-    u_abs = (float(np.linalg.norm(x - x2)), float(np.linalg.norm(x)),
-             float(np.linalg.norm(x2)))
-    scalars = np.empty((spec.n, spec.n))
-    c2 = SPECTRAL_C_STAR ** 2
-    for i, j in spec._pairs():
-        s_sum = spec.h[i] + spec.h[j]
-        d_term = _bes_s_scalar(s_sum, 0.0, lam, d)
-        scalars[i, j] = c2 * (_bes_s_scalar(s_sum, u_abs[0], lam, d)
-                              - _bes_s_scalar(s_sum, u_abs[1], lam, d)
-                              - _bes_s_scalar(s_sum, u_abs[2], lam, d)
-                              + d_term)
-    return spec._assemble(scalars)
+    return _pinned_cov(functools.partial(_ibtofbf_v, spec), spec.n, x, x2)
 
 
 def ibtofbf_variance(spec, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return ibtofbf_cov(spec, x, x)
+    return _pinned_point_variance(functools.partial(_ibtofbf_v, spec),
+                                  spec.n, x)
 
 
 def ibtofbf_increment_cov(spec, k):
@@ -469,53 +601,31 @@ def ibtofbf_increment_cov(spec, k):
     """
     if spec.variant != "IBTOFBF":
         raise CovarianceError("ibtofbf_increment_cov needs IBTOFBF")
-    lam, d = spec.lambda_, spec.d
     k = float(k)
-    scalars = np.empty((spec.n, spec.n))
-    c2 = SPECTRAL_C_STAR ** 2
-    for i, j in spec._pairs():
-        s_sum = spec.h[i] + spec.h[j]
-        scalars[i, j] = c2 * (2.0 * _bes_s_scalar(s_sum, k, lam, d)
-                              - _bes_s_scalar(s_sum, k + 1.0, lam, d)
-                              - _bes_s_scalar(s_sum, abs(k - 1.0), lam, d))
-    return spec._assemble(scalars)
+    u = np.array([k, k + 1.0, abs(k - 1.0)])
+
+    def pair(i, j):
+        s = _bes_s(spec.h[i] + spec.h[j], u, spec.lambda_, spec.d)
+        return SPECTRAL_C_STAR ** 2 * (2.0 * s[0] - s[1] - s[2])
+
+    return spec._assemble(pair, 1)[0]
 
 
 def ibtofbf_spectral_density(spec, xi):
-    """Spectral amplitude C* (lambda^2 + |xi|^2)^{-H} (calibrated C*)."""
+    """Spectral amplitude C* (lambda^2 + |xi|^2)^{-H} (calibrated C*), at
+    one frequency or an (M, d) array of them."""
     if spec.variant != "IBTOFBF":
         raise CovarianceError("ibtofbf_spectral_density needs IBTOFBF")
-    rho2 = float(np.sum(np.atleast_1d(np.asarray(xi, dtype=float)) ** 2))
-    base = spec.lambda_ ** 2 + rho2
-    vals = SPECTRAL_C_STAR * base ** (-spec.h)
-    return (spec.p * vals) @ spec.p_inv
+    return _density_matrix(spec, xi, lambda rho: SPECTRAL_C_STAR * (
+        spec.lambda_ ** 2 + rho[:, None] ** 2) ** (-spec.h))
 
 
 def ibtofbf_cov_spectral_quadrature(spec, x, x2, rtol=1e-9):
     """Fourier-quadrature twin of the closed form (oracle route)."""
     if spec.variant != "IBTOFBF":
         raise CovarianceError("needs an IBTOFBF spec")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    lam, d = spec.lambda_, spec.d
-    norms = (float(np.linalg.norm(x)), float(np.linalg.norm(x2)),
-             float(np.linalg.norm(x - x2)))
-    scalars = np.zeros((spec.n, spec.n))
-    c2 = SPECTRAL_C_STAR ** 2
-    for i, j in spec._pairs():
-        if j < i:
-            scalars[i, j] = scalars[j, i]
-            continue
-        s_sum = spec.h[i] + spec.h[j]
-
-        def env(r):
-            return (lam ** 2 + np.asarray(r, dtype=float) ** 2) ** (-s_sum)
-
-        p_decay = 2.0 * s_sum
-        ts = [_radial_transform(env, un, d, p_decay, lam, rtol=rtol)
-              for un in norms]
-        scalars[i, j] = c2 * (ts[0] + ts[1] - ts[2])
-    return spec._assemble(scalars)
+    return _pinned_cov(functools.partial(_spectral_v, spec, rtol=rtol),
+                       spec.n, x, x2)
 
 
 def _bes_unit_kernel(h, lam, d, z):
@@ -569,9 +679,8 @@ def calibrate_spectral_constant(h, lam, d=1):
     the recorded golden is SPECTRAL_C_STAR = 1.0.
     """
     var_kernel = ibtofbf_variance_kernel_quadrature(h, lam, d)
-    s_sum = 2.0 * h
-    var_closed = 2.0 * (_bes_s_scalar(s_sum, 0.0, lam, d)
-                        - _bes_s_scalar(s_sum, 1.0, lam, d))
+    s = _bes_s(2.0 * h, [0.0, 1.0], lam, d)
+    var_closed = 2.0 * (s[0] - s[1])
     return math.sqrt(var_kernel / var_closed)
 
 
@@ -625,33 +734,23 @@ class TFBMCovariance:
     def to_json(self):
         return {"variant": "TFBM_LINE", "h": self.h, "lambda": self.lambda_}
 
+    def _v(self, radii):
+        return tfbm_variogram_batch(self.h, self.lambda_, radii)[:, None, None]
+
     def evaluate(self, x, x2):
-        s = float(np.atleast_1d(x)[0])
-        t = float(np.atleast_1d(x2)[0])
-        return np.array([[tfbm_cov(self.h, self.lambda_, s, t)]])
+        return _pinned_cov(self._v, 1, x, x2)
 
     __call__ = evaluate
 
     def variance(self, x):
-        t = float(np.atleast_1d(x)[0])
-        return np.array([[tfbm_variogram(self.h, self.lambda_, t)]])
+        return _pinned_point_variance(self._v, 1, x)
 
     def variogram(self, t):
         return tfbm_variogram(self.h, self.lambda_, t)
 
     def gram(self, points, check_psd=True):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))[:, 0]
-        vg = tfbm_variogram_batch(self.h, self.lambda_, pts)
-        dist = np.abs(pts[:, None] - pts[None, :])
-        uniq, inverse = np.unique(np.round(dist, 12), return_inverse=True)
-        vg_u = tfbm_variogram_batch(self.h, self.lambda_, uniq)
-        diff = vg_u[inverse].reshape(dist.shape)
-        g = 0.5 * (vg[:, None] + vg[None, :] - diff)
-        if check_psd:
-            w = np.linalg.eigvalsh(0.5 * (g + g.T))
-            if w.min() < -1e-8 * max(np.trace(g), 1e-300):
-                raise CovarianceError("gram matrix not PSD")
-        return g
+        """Gram matrix over sites on the line; see CovarianceModel.gram."""
+        return _pinned_gram(self._v, 1, points, check_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -682,35 +781,28 @@ class CovarianceModel:
     def __call__(self, x, x2):
         return self.evaluate(x, x2)
 
-    def evaluate(self, x, x2):
+    def _v(self, radii):
         if self.method == "closed_form":
-            return ibtofbf_cov(self.spec, x, x2)
+            return _ibtofbf_v(self.spec, radii)
         if self.method == "kernel_quadrature":
-            return itofbf_cov(self.spec, x, x2)
-        if self.spec.variant == "ITOFBF":
-            return itofbf_cov_spectral(self.spec, x, x2, rtol=self.rtol)
-        return ibtofbf_cov_spectral_quadrature(self.spec, x, x2,
-                                               rtol=self.rtol)
+            return _itofbf_v(self.spec, radii)
+        return _spectral_v(self.spec, radii, self.rtol)
+
+    def evaluate(self, x, x2):
+        return _pinned_cov(self._v, self.spec.n, x, x2)
 
     def variance(self, x):
-        if self.spec.variant == "IBTOFBF":
-            return ibtofbf_variance(self.spec, x)
-        return itofbf_variance(self.spec, x)
+        return _pinned_point_variance(self._v, self.spec.n, x)
 
     def gram(self, points, check_psd=True):
-        """Gram matrix over sites (deterministic assembly order)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        n_sites = points.shape[0]
-        n = self.spec.n
-        g = np.empty((n_sites * n, n_sites * n))
-        for a in range(n_sites):
-            for b in range(a, n_sites):
-                blk = self.evaluate(points[a], points[b])
-                g[a * n:(a + 1) * n, b * n:(b + 1) * n] = blk
-                g[b * n:(b + 1) * n, a * n:(a + 1) * n] = blk.T
-        if check_psd:
-            w = np.linalg.eigvalsh(0.5 * (g + g.T))
-            if w.min() < -1e-8 * max(np.trace(g), 1e-300):
-                raise CovarianceError(
-                    f"gram matrix not PSD: min eigenvalue {w.min():.3e}")
-        return g
+        """Gram matrix over sites, (N n) x (N n) with n x n blocks.
+
+        Every model here has stationary increments and is pinned at the
+        origin, so C(x, x') = (V(|x|) + V(|x'|) - V(|x - x'|)) / 2 with V
+        the radial variance function, V(0) = 0.  V is evaluated once, in
+        one batch, on the unique radii {|x_a|} u {|x_a - x_b|}, and the
+        Gram is filled by indexing; the origin's row and column are
+        exactly 0.  With ``check_psd`` a negative eigenvalue below
+        -1e-8 tr(G) raises CovarianceError.
+        """
+        return _pinned_gram(self._v, self.spec.n, points, check_psd)

@@ -208,12 +208,6 @@ def box_dimension(realizations, scales=None, boost=4.0, target=None,
                                        zip(scales, counts)]})
 
 
-def increment_covariance(cov_fn, k):
-    """gamma(k) = Cov(X(k+1) - X(k), X(1) - X(0)) from a scalar cov."""
-    return (cov_fn(k + 1.0, 1.0) - cov_fn(float(k), 1.0)
-            - cov_fn(k + 1.0, 0.0) + cov_fn(float(k), 0.0))
-
-
 def _largest_single_sign_segment(lags, g):
     sign = np.sign(g)
     best = (0, 0)

@@ -157,18 +157,6 @@ def gauss_legendre(n):
 _GL_CACHE = {}
 
 
-def gl_panel_integrate(f, edges, n=20):
-    """Fixed Gauss-Legendre integration over consecutive panels."""
-    x0, w0 = gauss_legendre(n)
-    edges = np.asarray(edges, dtype=float)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + halfs[:, None] * x0[None, :]).ravel()
-    vals = np.asarray(f(nodes))
-    w = (halfs[:, None] * w0[None, :]).ravel()
-    return np.tensordot(w, vals, axes=(0, 0))
-
-
 def euler_accelerate(terms):
     """Euler transform of a (near-)alternating series Sum(terms).
 

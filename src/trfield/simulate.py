@@ -10,6 +10,7 @@ little-endian uint32 header length, a UTF-8 JSON header, then the
 float64 little-endian payload (row-major, sites x n).
 """
 
+import functools
 import json
 import math
 import struct
@@ -167,25 +168,40 @@ def sas_sample(alpha, scale, seed, count, stream_id=0):
 # ---------------------------------------------------------------------------
 
 def _factor_gram(gram, n_sites_total):
-    """Cholesky factor with escalating diagonal jitter (cap 1e-8 tr/N)."""
+    """Cholesky factor with escalating diagonal jitter (cap 1e-8 tr/N).
+
+    A row with a zero diagonal (a site pinned at the origin) is factored as
+    a unit row and then zeroed, so it needs no jitter and stays exactly 0.
+    Returns (factor, jitter), ``jitter`` being the amount added to every
+    diagonal entry (0.0 when the Gram factors as it is).
+    """
     trace = float(np.trace(gram))
     cap = 1e-8 * trace / max(n_sites_total, 1)
-    zero_rows = np.diag(gram) == 0.0
-    for jitter in (0.0, 1e-14, 1e-12, 1e-10):
-        bump = jitter * trace / max(n_sites_total, 1)
-        if bump > cap and jitter > 0:
-            break
-        try:
-            chol = np.linalg.cholesky(gram + bump * np.eye(gram.shape[0]))
-            chol[zero_rows, :] = 0.0     # degenerate sites stay exactly 0
-            return chol
-        except np.linalg.LinAlgError:
-            continue
+    zero_rows = np.flatnonzero(np.diag(gram) == 0.0)
+    gram[zero_rows, zero_rows] = 1.0
+    try:
+        for jitter in (0.0, 1e-14, 1e-12, 1e-10):
+            bump = jitter * trace / max(n_sites_total, 1)
+            if bump > cap and jitter > 0:
+                break
+            try:
+                chol = np.linalg.cholesky(
+                    gram + bump * np.eye(gram.shape[0]) if bump else gram)
+            except np.linalg.LinAlgError:
+                continue
+            chol[zero_rows, :] = 0.0
+            return chol, bump
+    finally:
+        gram[zero_rows, zero_rows] = 0.0
     raise SimulationError("gram factorization failed at maximal jitter")
 
 
 def gaussian_exact_many(cov_model, grid, seed, n_draws):
-    """Exact Gaussian draws from the covariance model on a grid."""
+    """Exact Gaussian draws from the covariance model on a grid.
+
+    The diagonal jitter the Cholesky factorization needed is recorded in
+    each draw's provenance (``"jitter"``).
+    """
     n = cov_model.spec.n
     if grid.n_sites * n > EXACT_SITE_CAP:
         raise SimulationError(
@@ -193,10 +209,11 @@ def gaussian_exact_many(cov_model, grid, seed, n_draws):
             f"{EXACT_SITE_CAP}")
     sites = grid.sites()
     gram = cov_model.gram(sites, check_psd=False)
-    chol = _factor_gram(gram, grid.n_sites)
+    chol, jitter = _factor_gram(gram, grid.n_sites)
     out = []
     meta = {"method": "gaussian_exact", "seed": int(seed),
-            "spec": cov_model.spec.to_json(), "grid": grid.to_json()}
+            "spec": cov_model.spec.to_json(), "grid": grid.to_json(),
+            "jitter": jitter}
     for j in range(n_draws):
         z = philox_stream(seed, j).standard_normal(gram.shape[0])
         vals = (chol @ z).reshape(grid.n_sites, n)
@@ -235,14 +252,6 @@ def spectral_tail_cutoff(p_decay, lam, d, tail_mass=1e-4):
     if 2 * p_decay <= d:
         raise SimulationError("spectral density tail is not integrable")
     return max(1.0, lam) * tail_mass ** (-1.0 / (2.0 * p_decay - d))
-
-
-def _check_symmetric(xi):
-    """Validate a user-supplied full grid: must pair xi with -xi."""
-    xi_set = {tuple(np.round(row, 12)) for row in xi}
-    for row in xi:
-        if tuple(np.round(-row, 12)) not in xi_set:
-            raise SimulationError("asymmetric frequency grid")
 
 
 def spectral_synthesis(spec, grid, seed, n_draws=1, freq=None,
@@ -294,10 +303,7 @@ def _spectral_density_for(spec):
             if spec.variant == "ITOFBF" else 2.0 * float(np.min(spec.h))
         lam = spec.lambda_ if spec.variant == "ITOFBF" else spec.lambda_ ** 2
 
-        def density(xi_arr):
-            return np.stack([fn(spec, row) for row in xi_arr])
-
-        return density, spec.n, p_decay, max(lam, 1e-6)
+        return functools.partial(fn, spec), spec.n, p_decay, max(lam, 1e-6)
     if isinstance(spec, FieldSpec):
         if spec.flavor != "H":
             raise SimulationError("spectral synthesis needs flavor H")

@@ -12,10 +12,9 @@ import math
 import numpy as np
 
 from . import _fast
-from .quadrature import gauss_legendre
 
 __all__ = [
-    "SpecfunError", "gamma_fn", "log_gamma", "digamma", "beta_fn",
+    "SpecfunError", "gamma_fn", "digamma", "beta_fn",
     "bessel_k", "bessel_k_batch", "bessel_j", "hyp2f1", "hyp2f1_batch",
 ]
 
@@ -67,13 +66,6 @@ def gamma_fn(x):
     if not isinstance(x, complex):
         return val.real
     return val
-
-
-def log_gamma(x):
-    """log Gamma(x) for real x > 0."""
-    if x <= 0:
-        raise SpecfunError("log_gamma requires x > 0")
-    return math.lgamma(x)
 
 
 def digamma(x):
@@ -222,8 +214,3 @@ def _check_2f1(c, zmax):
         raise SpecfunError("hyp2f1: c must not be a non-positive integer")
     if zmax > 0.0:
         raise SpecfunError("hyp2f1 implemented for z <= 0 only")
-
-
-def gauss_legendre_nodes(n):
-    """Re-export of the cached Gauss-Legendre rule (testing convenience)."""
-    return gauss_legendre(n)

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trfield.aniso import (AnisoError, EHomogeneousFn, PolarPoint, norm0,
-                           norm0_many, phi_eval, phi_extrema,
-                           polar_decompose, tau_many)
+                           norm0_many, phi_extrema, polar_decompose,
+                           tau_many)
 from trfield.matfun import MatrixExponent, matrix_power
 from trfield.quadrature import adaptive_gk
 
@@ -113,7 +113,7 @@ def test_polar_rejects_origin():
 
 def test_phi_euclidean():
     phi = EHomogeneousFn("euclidean", np.eye(2))
-    assert phi_eval(phi, np.array([3.0, 4.0])) == 5.0
+    assert phi(np.array([3.0, 4.0])) == 5.0
 
 
 def test_phi_euclidean_requires_identity():

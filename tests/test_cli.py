@@ -61,6 +61,24 @@ def test_command_mismatch(tmp_path):
     assert code == EXIT_SCHEMA
 
 
+def test_check_non_diagonal_e_with_diag_power_phi(tmp_path, capsys):
+    spec = dict(MA_SPEC, d=2, E=[[1.0, 0.3], [0.0, 1.5]],
+                phi={"variant": "diag_power", "rho": 2.0})
+    code, _ = run(tmp_path, "check", {"spec": spec})
+    assert code == EXIT_SCHEMA
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cov_quadrature_failure_exits_tolerance(tmp_path, capsys):
+    # d = 2 kernel quadrature at h < 1/2 exhausts the inner interval cap
+    doc = {"spec": {"variant": "ITOFBF", "d": 2, "n": 1, "lambda": 1.0,
+                    "H": [[0.3]]},
+           "pairs": [[[0.1, 0.0], [0.1, 0.0]]]}
+    code, _ = run(tmp_path, "cov", doc)
+    assert code == EXIT_TOLERANCE
+    assert "adaptive_gk" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     code = main(["check", "--config", os.path.join(tmp_path, "nope.json"),
                  "--out", os.path.join(tmp_path, "o")])

@@ -14,7 +14,7 @@ from trfield.covariance import (CovarianceError, CovarianceModel,
                                 itofbf_cov, itofbf_cov_spectral, itofbf_cx2,
                                 itofbf_spectral_density, itofbf_variance,
                                 tfbm_cov, tfbm_variogram)
-from trfield.quadrature import adaptive_gk
+from trfield.quadrature import adaptive_gk, integrate_decaying
 from trfield.specfun import gamma_fn, hyp2f1
 
 
@@ -408,3 +408,181 @@ def test_model_gram_psd_check_raises_on_garbage():
     good = CovarianceModel(IsotropicGaussianSpec("IBTOFBF", 1, 1, 1.0,
                                                  [[0.7]]))
     good.gram(np.array([[0.5], [1.0], [2.0]]))
+
+
+# ---------------------------------------------------------------------------
+# pinned-stationary Gram core
+
+def loop_gram(model, pts):
+    """Reference Gram: one ``evaluate`` call per pair of sites."""
+    n = model.spec.n
+    g = np.empty((len(pts) * n, len(pts) * n))
+    for a in range(len(pts)):
+        for b in range(len(pts)):
+            g[a * n:(a + 1) * n, b * n:(b + 1) * n] = model.evaluate(pts[a],
+                                                                     pts[b])
+    return g
+
+
+def scalar_ibtofbf_cov(spec, x, x2):
+    """Per-pair closed form with scalar K_nu calls, independent of the core."""
+    from trfield.specfun import bessel_k
+
+    lam, d = spec.lambda_, spec.d
+
+    def s_fn(s_sum, u):
+        if u == 0.0:
+            return math.pi ** (d / 2.0) * lam ** (d - 2.0 * s_sum) \
+                * gamma_fn(s_sum - d / 2.0) / gamma_fn(s_sum)
+        return (2.0 * math.pi) ** (d / 2.0) * lam ** (d / 2.0 - s_sum) \
+            * 2.0 ** (1.0 - s_sum) / gamma_fn(s_sum) \
+            * u ** (s_sum - d / 2.0) * bessel_k(d / 2.0 - s_sum, lam * u)
+
+    x, x2 = np.atleast_1d(x), np.atleast_1d(x2)
+    u = (np.linalg.norm(x - x2), np.linalg.norm(x), np.linalg.norm(x2))
+    scalars = np.empty((spec.n, spec.n))
+    for i in range(spec.n):
+        for j in range(spec.n):
+            s = spec.h[i] + spec.h[j]
+            scalars[i, j] = (s_fn(s, u[0]) - s_fn(s, u[1]) - s_fn(s, u[2])
+                             + s_fn(s, 0.0))
+    return spec.p @ (spec.q_matrix * scalars) @ spec.p.T
+
+
+def assert_gram_matches(g, ref, rtol, origin, n):
+    assert g.shape == ref.shape
+    assert np.max(np.abs(g - ref)) <= rtol * np.max(np.abs(ref))
+    assert np.all(g[origin * n:(origin + 1) * n, :] == 0.0)
+    assert np.all(g[:, origin * n:(origin + 1) * n] == 0.0)
+
+
+GRID_2X2 = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("variant,d,h,pts,rtol", [
+    ("IBTOFBF", 1, [[0.7]], np.linspace(-0.25, 1.0, 6)[:, None], 1e-12),
+    ("IBTOFBF", 1, [[0.7, 0.1], [0.0, 0.55]],
+     np.linspace(-0.25, 1.0, 6)[:, None], 1e-12),
+    ("IBTOFBF", 2, [[0.7]], np.array([[x, y] for x in (-0.25, 0.0, 0.5)
+                                      for y in (0.0, 0.25, 0.75)]), 1e-12),
+    ("ITOFBF", 1, [[0.72]], np.linspace(-0.125, 0.5, 6)[:, None], 1e-9),
+    ("ITOFBF", 2, [[0.72]], GRID_2X2, 1e-9),
+    ("ITOFBF", 3, [[0.7]], np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1],
+                                     [-0.25, 0.0, 0.4]]), 1e-9),
+])
+def test_gram_matches_per_pair_evaluate(variant, d, h, pts, rtol):
+    n = len(h)
+    spec = IsotropicGaussianSpec(variant, d, n, 0.5, h)
+    g = CovarianceModel(spec).gram(pts)
+    # a fresh spec, so that no pair integral is shared through the cache
+    ref_model = CovarianceModel(IsotropicGaussianSpec(variant, d, n, 0.5, h))
+    origin = int(np.flatnonzero(np.all(pts == 0.0, axis=1))[0])
+    assert_gram_matches(g, loop_gram(ref_model, pts), rtol, origin, n)
+    if variant == "IBTOFBF":
+        ref = np.block([[scalar_ibtofbf_cov(spec, a, b) for b in pts]
+                        for a in pts])
+        assert_gram_matches(g, ref, rtol, origin, n)
+
+
+def test_gram_matches_per_pair_evaluate_spectral_integral():
+    spec = IsotropicGaussianSpec("IBTOFBF", 1, 1, 1.0, [[0.7]])
+    pts = np.array([[0.5], [0.0], [-0.75]])
+    g = CovarianceModel(spec, method="spectral_integral").gram(pts)
+    ref = loop_gram(CovarianceModel(spec, method="spectral_integral"), pts)
+    assert_gram_matches(g, ref, 1e-9, 1, 1)
+    closed = CovarianceModel(spec).gram(pts)
+    assert np.max(np.abs(g - closed)) <= 1e-7 * np.max(np.abs(closed))
+
+
+def test_gram_matches_per_pair_evaluate_tfbm():
+    model = TFBMCovariance(0.65, 0.4)
+    pts = np.linspace(-0.5, 1.5, 17)[:, None]
+    g = model.gram(pts)
+    ref = np.array([[tfbm_cov(0.65, 0.4, a, b) for b in pts[:, 0]]
+                    for a in pts[:, 0]])
+    assert_gram_matches(g, ref, 1e-12, 4, 1)
+    assert_gram_matches(g, loop_gram(model, pts), 1e-12, 4, 1)
+
+
+def per_node_cross_integral(nu, nup, mu, d):
+    """X(mu) with one inner quadrature per outer node (unbatched)."""
+    def inner(rho):
+        a, b = abs(rho - 1.0), rho + 1.0
+        if d == 2:
+            c2, w2 = 0.5 * (a * a + b * b), 0.5 * (b * b - a * a)
+
+            def f(phi):
+                s = np.maximum(np.sqrt(np.maximum(c2 + w2 * np.sin(phi),
+                                                  0.0)), 1e-300)
+                return np.exp(-mu * s) * s ** nup
+
+            val, _ = adaptive_gk(f, -0.5 * math.pi, 0.5 * math.pi,
+                                 rtol=1e-10, atol=1e-14, max_intervals=4096)
+            return 2.0 * val
+        val, _ = adaptive_gk(lambda s: np.exp(-mu * s) * s ** (nup + 1.0),
+                             a, b, rtol=1e-11, atol=1e-300,
+                             max_intervals=4096)
+        return 2.0 * math.pi * val / rho
+
+    def outer(rho_arr):
+        vals = np.array([inner(rho) for rho in rho_arr])
+        return np.exp(-mu * rho_arr) * rho_arr ** (nu + d - 1) * vals
+
+    head, _ = adaptive_gk(outer, 0.0, 2.0, rtol=1e-9, atol=1e-300,
+                          points=(1.0,), max_intervals=8192)
+
+    def tail_bound(r):
+        expo = -2.0 * mu * r + (nu + nup + d - 1) * math.log(max(r, 1.0))
+        return cov._surface_area(d) * math.exp(max(expo, -745.0)) / mu
+
+    return head + integrate_decaying(outer, 2.0, rtol=1e-9,
+                                     atol=1e-12 * abs(head) + 1e-300,
+                                     first_width=1.0, tail_bound=tail_bound)
+
+
+@pytest.mark.parametrize("d,h", [(2, 0.72), (3, 0.7), (3, 0.4)])
+def test_node_batched_cross_integral_matches_per_node_loop(d, h):
+    nu = h - d / 2.0
+    mus = np.array([0.05, 0.26, 0.37, 1.0])
+    batched = cov._cross_integral(nu, nu, mus, d)
+    for mu, val in zip(mus, batched):
+        assert val == pytest.approx(per_node_cross_integral(nu, nu, mu, d),
+                                    rel=1e-9)
+
+
+def test_ibtofbf_gram_batches_bessel_calls(monkeypatch):
+    import trfield.specfun as specfun
+
+    calls = {"batch": 0, "scalar": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cov, "bessel_k_batch",
+                        counting("batch", cov.bessel_k_batch))
+    monkeypatch.setattr(specfun, "bessel_k",
+                        counting("scalar", specfun.bessel_k))
+    pts = np.linspace(-0.25, 0.5, 25)[:, None]
+    for h, pair_sums in (([[0.7]], 1), ([[0.7, 0.1], [0.0, 0.55]], 3)):
+        calls.update(batch=0, scalar=0)
+        spec = IsotropicGaussianSpec("IBTOFBF", 1, len(h), 0.5, h)
+        CovarianceModel(spec).gram(pts, check_psd=False)
+        assert calls == {"batch": pair_sums, "scalar": 0}
+
+
+def test_spectral_densities_accept_frequency_arrays():
+    xi = np.array([[0.0], [0.3], [2.0], [40.0]])
+    for variant, h in (("ITOFBF", [[0.72, 0.1], [0.0, 0.5]]),
+                       ("IBTOFBF", [[0.7, 0.1], [0.0, 0.55]])):
+        spec = IsotropicGaussianSpec(variant, 1, 2, 0.5, h)
+        fn = itofbf_spectral_density if variant == "ITOFBF" \
+            else ibtofbf_spectral_density
+        batch = fn(spec, xi)
+        assert batch.shape == (4, 2, 2)
+        for row, amp in zip(xi, batch):
+            single = fn(spec, row)
+            assert single.shape == (2, 2)
+            assert np.allclose(amp, single, rtol=1e-13, atol=0.0)

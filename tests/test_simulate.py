@@ -189,6 +189,29 @@ def test_gaussian_exact_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+def test_gaussian_exact_records_jitter():
+    class RankOne:
+        """Stub model whose Gram [[1, 1], [1, 1]] fails an unjittered
+        Cholesky factorization."""
+
+        class spec:
+            n = 1
+
+            @staticmethod
+            def to_json():
+                return {"variant": "rank_one"}
+
+        @staticmethod
+        def gram(sites, check_psd=True):
+            return np.ones((len(sites), len(sites)))
+
+    reals = gaussian_exact_many(RankOne(), GridSpec([(0.0, 1.0)], [2]), 5, 2)
+    assert [r.provenance["jitter"] for r in reals] == [1e-14, 1e-14]
+    model = TFBMCovariance(0.6, 0.2)
+    real = gaussian_exact(model, GridSpec([(0.0, 1.0)], [9]), 5)
+    assert real.provenance["jitter"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # spectral synthesis
 
@@ -196,11 +219,6 @@ def test_symmetric_freq_grid_properties():
     half, dvol = symmetric_freq_grid(8.0, 16, 2)
     assert half.shape[1] == 2
     assert np.all(half[:, -1] > 0)           # half-space, 0 excluded
-    full = np.vstack([half, -half])
-    from trfield.simulate import _check_symmetric
-    _check_symmetric(full)                    # does not raise
-    with pytest.raises(SimulationError):
-        _check_symmetric(full[:-1])
 
 
 def test_spectral_synthesis_origin_row_zero_and_real():
