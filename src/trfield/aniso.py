@@ -29,7 +29,7 @@ def _as_exponent(e):
 
 
 class _ExpAction:
-    """Vectorized evaluation of s -> ||exp(-s E) x|| over many x."""
+    """Vectorized evaluation of ||exp(-(s + a) E) x|| over many x."""
 
     def __init__(self, e_mat):
         self.e = e_mat
@@ -46,16 +46,25 @@ class _ExpAction:
             self.pinv = np.linalg.inv(p)
             self.lam = np.array([t for t, _ in blocks])
 
-    def norms(self, s_nodes, x_cols):
-        """(K, N) array of ||exp(-s_k E) x_i||."""
+    def norms(self, s_nodes, shifts, x_cols):
+        """(K, N) array of ||exp(-(s_k + a_i) E) x_i|| for shifts a_i.
+
+        exp(-(s + a)E) = exp(-sE) exp(-aE), so the exponentials are taken
+        once per node and once per point, and the (K, N) table is a
+        matrix product with inner dimension d.
+        """
+        shifts = np.broadcast_to(np.asarray(shifts, dtype=float),
+                                 (x_cols.shape[1],))
         if self.diag:
-            damp = np.exp(-np.outer(s_nodes, self.rates))        # (K, d)
-            sq = damp[:, :, None] ** 2 * (x_cols ** 2)[None, :, :]
-            return np.sqrt(np.sum(sq, axis=1))
-        b = self.pinv @ x_cols                                    # (d, N)
-        damp = np.exp(-np.outer(s_nodes, self.lam))               # (K, d)
-        y = np.einsum("ij,kj,jn->kin", self.p, damp, b)
-        return np.sqrt(np.sum(np.abs(y) ** 2, axis=1))
+            y = x_cols * np.exp(-np.outer(self.rates, shifts))      # (d, N)
+            damp2 = np.exp(-2.0 * np.outer(s_nodes, self.rates))    # (K, d)
+            return np.sqrt(damp2 @ (y * y))
+        c = np.exp(-np.outer(self.lam, shifts)) * (self.pinv @ x_cols)
+        damp = np.exp(-np.outer(s_nodes, self.lam))                  # (K, d)
+        d = self.p.shape[0]
+        y = ((self.p[None, :, :] * damp[:, None, :]).reshape(-1, d) @ c)
+        y = y.reshape(len(s_nodes), d, -1)
+        return np.sqrt(np.sum(y.real ** 2 + y.imag ** 2, axis=1))
 
 
 def norm0(x, e, rtol=1e-12):
@@ -90,7 +99,7 @@ def norm0_many(xs, e, rtol=1e-12):
         lo = j * width
         mid, half = lo + 0.5 * width, 0.5 * width
         s_nodes = mid + half * x0
-        vals = action.norms(s_nodes, cols)
+        vals = action.norms(s_nodes, 0.0, cols)
         total += half * (w0 @ vals)
         if j > 4 and np.max(half * (w0 @ vals)) < rtol * np.min(total):
             break
@@ -114,12 +123,24 @@ class PolarPoint:
         return f"PolarPoint(tau={self.tau!r}, l={self.l.tolist()})"
 
 
-def tau_many(xs, e, max_bisect=24, secant_iter=8, tol=1e-11):
-    """Radial parts tau(x) for rows of ``xs``.
+def tau_many(xs, e, tol=1e-11, max_iter=60):
+    """Radial parts tau(x) for rows of ``xs``, by safeguarded Newton.
 
-    r -> norm0(r^{-E} x) is strictly decreasing; the root of
-    norm0(r^{-E} x) = 1 on log r in [-60, 60] is tau(x).  Bisection
-    brackets the root, a vectorized secant pass polishes it.
+    tau(x) = e^a, where a is the root of f(a) = log g(a) and
+    g(a) = norm0(e^{-aE} x) = int_0^inf ||e^{-(s+a)E} x|| ds is strictly
+    decreasing.  Its derivative is exact: g'(a) = -||e^{-aE} x||, so a
+    Newton step a + g log(g) / ||e^{-aE} x|| costs one quadrature and one
+    norm.
+
+    The iteration starts at the scalar-exponent closed form
+    a0 = log(|x|/e)/e with e = tr(E)/d, exact when E = e I.  The root must
+    lie in [-60, 60] (checked once); the sign of f narrows that bracket,
+    and a step that leaves it is replaced by bisection.  A point stops
+    when |f| < ``tol`` (its last Newton step is still taken) or when its
+    step falls below 4 ulps of max(|a|, 1), the resolution of tau, which
+    is the binding test where quadrature noise keeps |f| from falling
+    further.  Stopped points drop out of later quadratures; points still
+    running after ``max_iter`` steps raise :class:`AnisoError`.
     """
     e = _as_exponent(e)
     xs = np.asarray(xs, dtype=float)
@@ -127,68 +148,53 @@ def tau_many(xs, e, max_bisect=24, secant_iter=8, tol=1e-11):
         raise AnisoError("polar decomposition undefined at the origin")
     action = _ExpAction(e)
     cols = xs.T
-
-    def g(log_r):
-        # norm0(r^{-E} x) = int_0^inf ||e^{-(s + log r)E} x|| ds
-        return _norm0_shifted(action, e, cols, log_r)
-
-    lo = np.full(xs.shape[0], -60.0)
-    hi = np.full(xs.shape[0], 60.0)
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if np.any(g_lo < 1.0) or np.any(g_hi > 1.0):
-        raise AnisoError("bisection bracket [-60, 60] on log tau failed")
-    for _ in range(max_bisect):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        high = gm > 1.0
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-    # secant polish on log g (monotone, smooth)
-    a, b = lo, hi
-    fa = np.log(g(a))
-    fb = np.log(g(b))
-    for _ in range(secant_iter):
-        denom = np.where(fb != fa, fb - fa, 1.0)
-        c = b - fb * (b - a) / denom
-        c = np.clip(c, lo, hi)
-        fc = np.log(g(c))
-        a, fa = b, fb
-        b, fb = c, fc
-        if np.max(np.abs(fc)) < tol:
-            break
-    return np.exp(b)
+    n_pts = xs.shape[0]
+    lo = np.full(n_pts, -60.0)
+    hi = np.full(n_pts, 60.0)
+    if (np.any(_norm0_shifted(action, e, cols, lo) < 1.0)
+            or np.any(_norm0_shifted(action, e, cols, hi) > 1.0)):
+        raise AnisoError("bracket [-60, 60] on log tau failed")
+    e_bar = float(np.trace(e.entries)) / e.dim
+    a = np.clip(np.log(np.linalg.norm(xs, axis=1) / e_bar) / e_bar, lo, hi)
+    live = np.arange(n_pts)
+    for _ in range(max_iter):
+        c, al = cols[:, live], a[live]
+        g = _norm0_shifted(action, e, c, al)
+        f = np.log(g)
+        above = f > 0.0                       # a below the root
+        lo_l = np.where(above, al, lo[live])
+        hi_l = np.where(above, hi[live], al)
+        new = al + g * f / action.norms(np.zeros(1), al, c)[0]
+        conv = np.abs(f) < tol
+        inside = (new > lo_l) & (new < hi_l)
+        new = np.where(inside, new,
+                       np.where(conv, al, 0.5 * (lo_l + hi_l)))
+        conv |= (np.abs(new - al)
+                 <= 4.0 * np.spacing(np.maximum(np.abs(al), 1.0)))
+        a[live], lo[live], hi[live] = new, lo_l, hi_l
+        live = live[~conv]
+        if live.size == 0:
+            return np.exp(a)
+    raise AnisoError(f"tau_many: {live.size} of {n_pts} points did not "
+                     f"reach tol={tol} in {max_iter} Newton steps")
 
 
 def _norm0_shifted(action, e, cols, log_r):
+    """g(log_r) = int_0^inf ||e^{-(s + log_r)E} x|| ds for columns x."""
     varpi = e.varpi
     span = 33.0 / varpi + 6.0
     width = min(2.0, 4.0 / max(1.0, float(np.linalg.norm(e.entries, 2))))
     n_panels = int(math.ceil(span / width))
     x0, w0 = gauss_legendre(12)
     total = np.zeros(cols.shape[1])
-    log_r = np.broadcast_to(np.asarray(log_r, dtype=float), (cols.shape[1],))
     for j in range(n_panels):
         mid = j * width + 0.5 * width
-        base = mid + 0.5 * width * x0                  # (K,)
-        s_nodes = base[:, None] + log_r[None, :]       # (K, N) shifted nodes
-        vals = _norms_shifted(action, s_nodes, cols)
+        vals = action.norms(mid + 0.5 * width * x0, log_r, cols)
         block = 0.5 * width * (w0 @ vals)
         total += block
         if j > 3 and np.max(block) < 1e-13 * max(np.min(total), 1e-300):
             break
     return total
-
-
-def _norms_shifted(action, s_nodes, cols):
-    if action.diag:
-        damp = np.exp(-s_nodes[:, None, :] * action.rates[None, :, None])
-        sq = damp ** 2 * (cols ** 2)[None, :, :]
-        return np.sqrt(np.sum(sq, axis=1))
-    b = action.pinv @ cols
-    damp = np.exp(-s_nodes[:, None, :] * action.lam[None, :, None])
-    y = np.einsum("ij,kjn,jn->kin", action.p, damp, b)
-    return np.sqrt(np.sum(np.abs(y) ** 2, axis=1))
 
 
 def polar_decompose(x, e):
@@ -304,22 +310,20 @@ def phi_extrema(phi, n_samples=2048, refine=True):
     lo_i, hi_i = int(np.argmin(vals)), int(np.argmax(vals))
     m_phi, big_phi = float(vals[lo_i]), float(vals[hi_i])
     if refine and d >= 2:
-        for idx, keep_min in ((lo_i, True), (hi_i, False)):
-            center = u[idx]
-            spread = 4.0 / n_samples if d == 2 else 4.0 / math.sqrt(n_samples)
-            for _ in range(6):
-                jitter = spread * np.random.default_rng(0).standard_normal(
-                    (64, d))
-                cand = center[None, :] + jitter
-                cand /= np.linalg.norm(cand, axis=1)[:, None]
-                cv = phi.batch(cand) / tau_many(cand, phi.e)
-                j = int(np.argmin(cv)) if keep_min else int(np.argmax(cv))
-                best = float(cv[j])
-                if keep_min and best < m_phi:
-                    m_phi, center = best, cand[j]
-                elif not keep_min and best > big_phi:
-                    big_phi, center = best, cand[j]
-                spread *= 0.5
+        # both searches share one jitter draw and one tau_many call a step
+        jitter = np.random.default_rng(0).standard_normal((64, d))
+        centers = u[[lo_i, hi_i]]
+        spread = 4.0 / n_samples if d == 2 else 4.0 / math.sqrt(n_samples)
+        for _ in range(6):
+            cand = (centers[:, None, :] + spread * jitter).reshape(-1, d)
+            cand /= np.linalg.norm(cand, axis=1)[:, None]
+            cv = (phi.batch(cand) / tau_many(cand, phi.e)).reshape(2, -1)
+            j_lo, j_hi = int(np.argmin(cv[0])), int(np.argmax(cv[1]))
+            if cv[0, j_lo] < m_phi:
+                m_phi, centers[0] = float(cv[0, j_lo]), cand[j_lo]
+            if cv[1, j_hi] > big_phi:
+                big_phi, centers[1] = float(cv[1, j_hi]), cand[64 + j_hi]
+            spread *= 0.5
     if not (0.0 < m_phi <= big_phi < math.inf):
         raise AnisoError("phi extrema optimization failed")
     return m_phi, big_phi

@@ -121,15 +121,6 @@ class _Run:
         return self.write_bytes(name, json.dumps(
             doc, indent=2, sort_keys=True, default=_np_default).encode("utf-8"))
 
-    def write_realization(self, name, realization):
-        fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=".tmp-")
-        os.close(fd)
-        realization.save(tmp)
-        path = os.path.join(self.out_dir, name)
-        os.replace(tmp, path)
-        self.manifest["outputs"][name] = _sha256_file(path)
-        return path
-
     def finish(self):
         blob = json.dumps(self.manifest, indent=2, sort_keys=True)
         fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=".tmp-")
@@ -242,12 +233,10 @@ def _cmd_simulate(config, run, args):
     else:
         raise SchemaError(f"simulate: unknown method '{method}'")
     for j, real in enumerate(reals):
-        run.write_realization(f"draw_{j:04d}.trf", real)
+        run.write_bytes(f"draw_{j:04d}.trf", real.to_bytes())
     if config.get("csv"):
         for j, real in enumerate(reals):
-            path = os.path.join(run.out_dir, f"draw_{j:04d}.csv")
-            real.to_csv(path)
-            run.manifest["outputs"][f"draw_{j:04d}.csv"] = _sha256_file(path)
+            run.write_bytes(f"draw_{j:04d}.csv", real.to_csv_bytes())
     run.finish()
     print(f"wrote {len(reals)} draw(s) to {run.out_dir}")
     return EXIT_OK

@@ -11,6 +11,7 @@ float64 little-endian payload (row-major, sites x n).
 """
 
 import functools
+import io
 import json
 import math
 import struct
@@ -108,7 +109,8 @@ class Realization:
     def n(self):
         return self.values.shape[1]
 
-    def save(self, path):
+    def to_bytes(self):
+        """The ``.trf`` file: magic, header length, JSON header, values."""
         header = {
             "format": 1,
             "grid": self.grid.to_json(),
@@ -118,11 +120,12 @@ class Realization:
             "provenance": self.provenance,
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        return b"".join((_MAGIC, struct.pack("<I", len(blob)), blob,
+                         self.values.astype("<f8").tobytes(order="C")))
+
+    def save(self, path):
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(self.values.astype("<f8").tobytes(order="C"))
+            fh.write(self.to_bytes())
 
     @classmethod
     def load(cls, path):
@@ -138,12 +141,19 @@ class Realization:
         return cls(GridSpec.from_json(header["grid"]), values,
                    header["provenance"])
 
-    def to_csv(self, path):
+    def to_csv_bytes(self):
+        """Sites and values as CSV, one row per site."""
         sites = self.grid.sites()
         cols = np.hstack([sites, self.values])
         head = ",".join([f"x{i}" for i in range(sites.shape[1])]
                         + [f"v{i}" for i in range(self.n)])
-        np.savetxt(path, cols, delimiter=",", header=head, comments="")
+        buf = io.BytesIO()
+        np.savetxt(buf, cols, delimiter=",", header=head, comments="")
+        return buf.getvalue()
+
+    def to_csv(self, path):
+        with open(path, "wb") as fh:
+            fh.write(self.to_csv_bytes())
 
 
 def philox_stream(seed, stream_id):
@@ -272,7 +282,11 @@ def spectral_synthesis(spec, grid, seed, n_draws=1, freq=None,
         xi_half = np.atleast_2d(np.asarray(xi_half, dtype=float))
     amp = density(xi_half)                      # (M, n, n)
     sites = grid.sites()
-    phase = np.exp(-1j * sites @ xi_half.T) - 1.0      # (N, M)
+    # real product first, then in place: one (N, M) complex array, no
+    # complex matmul
+    phase = -1j * (sites @ xi_half.T)                  # (N, M)
+    np.exp(phase, out=phase)
+    phase -= 1.0
     sqdv = math.sqrt(dvol)
     out = []
     meta = {"method": "spectral_synthesis", "seed": int(seed),

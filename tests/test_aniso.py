@@ -109,6 +109,39 @@ def test_polar_rejects_origin():
 
 
 # ---------------------------------------------------------------------------
+# Newton tau_many
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_tau_many_scalar_exponent_closed_form(rng, a):
+    # E = a I: norm0(x) = |x|/a and tau(x) = (|x|/a)^(1/a)
+    radii = np.exp(np.linspace(-20.0, 20.0, 41))
+    dirs = rng.standard_normal((radii.size, 2))
+    xs = dirs / np.linalg.norm(dirs, axis=1)[:, None] * radii[:, None]
+    taus = tau_many(xs, a * np.eye(2))
+    expect = (radii / a) ** (1.0 / a)
+    assert np.max(np.abs(taus / expect - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("e_mat", [E_DIAG,
+                                   np.array([[1.0, 0.3], [0.0, 1.5]]),
+                                   np.array([[1.2, -0.5], [0.5, 1.2]])])
+def test_tau_many_lands_on_unit_sphere(rng, e_mat):
+    # tau^{-E} x from matrix_power, independent of the Newton code
+    xs = rng.standard_normal((64, 2)) * np.exp(rng.uniform(-6, 6, (64, 1)))
+    taus = tau_many(xs, e_mat)
+    ls = np.array([matrix_power(e_mat, 1.0 / t) @ x
+                   for t, x in zip(taus, xs)])
+    assert np.max(np.abs(norm0_many(ls, e_mat) - 1.0)) < 1e-9
+
+
+def test_tau_many_unconverged_raises_naming_tolerance(rng):
+    xs = rng.standard_normal((16, 2))
+    with pytest.raises(AnisoError, match=r"tol=1e-11") as info:
+        tau_many(xs, E_DIAG, max_iter=1)
+    assert "of 16 points" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
 # phi variants
 
 def test_phi_euclidean():

@@ -184,6 +184,30 @@ def test_simulate_spectral_csv_export(tmp_path):
     assert os.path.exists(os.path.join(out, "draw_0000.csv"))
 
 
+def test_simulate_artifacts_hashed_in_memory(tmp_path):
+    import hashlib
+    doc = {"method": "spectral", "seed": 3, "csv": True,
+           "spec": {"variant": "IBTOFBF", "d": 1, "n": 1, "lambda": 1.0,
+                    "H": [[0.7]]},
+           "grid": {"ranges": [[0.0, 1.0]], "counts": [8]},
+           "freq_count": 128}
+    code, out = run(tmp_path, "simulate", doc)
+    assert code == EXIT_OK
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    for name in ("draw_0000.trf", "draw_0000.csv"):
+        with open(os.path.join(out, name), "rb") as fh:
+            blob = fh.read()
+        assert manifest["outputs"][name] == hashlib.sha256(blob).hexdigest()
+    real = Realization.load(os.path.join(out, "draw_0000.trf"))
+    assert real.to_bytes() == open(os.path.join(out, "draw_0000.trf"),
+                                   "rb").read()
+    saved = os.path.join(tmp_path, "copy.trf")
+    real.save(saved)
+    with open(saved, "rb") as fh:
+        assert fh.read() == real.to_bytes()
+    assert not [f for f in os.listdir(out) if f.startswith(".tmp-")]
+
+
 def test_estimate_analytic_holder(tmp_path):
     doc = {"estimator": "directional_holder",
            "spec": {"h": 0.5, "lambda": 0.1},

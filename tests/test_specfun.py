@@ -100,6 +100,22 @@ def test_bessel_k_symmetric_in_order(nu, u):
     assert bessel_k(nu, u) == bessel_k(-nu, u)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.3, 2.7, 4.2])
+def test_kv_batch_mpmath_oracle(nu):
+    mpmath = pytest.importorskip("mpmath")
+    u = np.concatenate([np.geomspace(2.0, 700.0, 97),
+                        [np.nextafter(2.0, 3.0), 2.0 + 1e-7, 699.99]])
+    expect = np.array([float(mpmath.besselk(nu, ui)) for ui in u])
+    np.testing.assert_allclose(_fast.kv_batch(nu, u), expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.3, 2.7, 4.2])
+def test_kv_batch_continuous_across_series_switch(nu):
+    # u <= 2 takes the series, u > 2 the trapezoid
+    below, above = _fast.kv_batch(nu, [2.0, np.nextafter(2.0, 3.0)])
+    assert above == pytest.approx(below, rel=1e-13)
+
+
 def test_bessel_k_small_u_asymptote():
     u = 1e-4
     ratio = bessel_k(0.3, u) / (2 ** (0.3 - 1) * gamma_fn(0.3) * u ** -0.3)
