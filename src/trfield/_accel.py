@@ -1,48 +1,3 @@
-"""Optional numba acceleration layer.
+"""Kept for importers of the flag: every kernel runs in numpy (``_fast``)."""
 
-Hot numeric kernels in this package come in two flavors: a numba
-``@njit`` implementation and a pure-numpy fallback.  Selection happens
-once at import time:
-
-* if numba is importable and the environment variable
-  ``TRFIELD_DISABLE_NUMBA`` is unset (or "0"), the jitted kernels are used;
-* otherwise every kernel silently falls back to its numpy twin.
-
-``python -m trfield.benchmark`` times both paths side by side.
-"""
-
-import os
-
-_DISABLED = os.environ.get("TRFIELD_DISABLE_NUMBA", "0").lower() in ("1", "true", "yes")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by TRFIELD_DISABLE_NUMBA")
-    import numba
-
-    NUMBA_ENABLED = True
-except ImportError:
-    numba = None
-    NUMBA_ENABLED = False
-
-
-def maybe_njit(*args, **kwargs):
-    """``numba.njit`` when acceleration is on, identity decorator otherwise."""
-    if NUMBA_ENABLED:
-        return numba.njit(*args, **kwargs)
-
-    def wrap(func):
-        return func
-
-    if args and callable(args[0]):
-        return args[0]
-    return wrap
-
-
-def set_num_threads(n):
-    """Best-effort thread count for the jitted layer."""
-    if NUMBA_ENABLED and n:
-        try:
-            numba.set_num_threads(int(n))
-        except ValueError:
-            pass
+NUMBA_ENABLED = False

@@ -1,17 +1,17 @@
-"""Hot numeric kernels: numba-jitted scalars plus pure-numpy twins.
+"""Hot numeric kernels, one numpy implementation each.
 
-``kv_batch`` (K_nu) has one implementation, in numpy: a Temme series for
-u <= 2 and a trapezoidal cosh integral above, with no numba twin.  The
-other public kernels dispatch on :data:`trfield._accel.NUMBA_ENABLED`:
-the jitted path loops a scalar kernel, the numpy path evaluates the same
-recurrences with array masks.  ``trfield.benchmark`` times them all.
+``kv_batch`` (K_nu: a Temme series for u <= 2, a trapezoidal cosh
+integral above), ``hyp2f1_batch`` (Gauss 2F1 for z <= 0),
+``cms_batch`` (Chambers-Mallows-Stuck variates), ``ma_matrix_1d`` and
+``tfsm_matrix`` (moving-average kernel matrices) and ``box_count``
+evaluate their recurrences with array masks.  ``trfield.benchmark``
+times them all.
 """
 
 import math
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, maybe_njit
 
 # Coefficients of 1/Gamma(1+x) = sum_j A[j] x^j  (Abramowitz & Stegun 6.1.34).
 _RGAMMA_A = np.array([
@@ -30,6 +30,13 @@ _KV_UNDERFLOW_U = 700.0
 _KV_CHUNK = 256
 
 
+class SpecfunError(ValueError):
+    """A special function refused its arguments or failed to converge.
+
+    Re-exported as :class:`trfield.specfun.SpecfunError`.
+    """
+
+
 def _gam_pair(mu):
     """gam1 = [1/G(1-mu)-1/G(1+mu)]/(2 mu), gam2 = [1/G(1-mu)+1/G(1+mu)]/2."""
     mu2 = mu * mu
@@ -46,7 +53,7 @@ def _gam_pair(mu):
     return gam1, gam2
 
 
-def _kv_series_np(nu, x):
+def _kv_series(nu, x):
     """Modified Bessel K_nu(x) for 0 < x <= 2 via the Temme-style series."""
     n = int(math.floor(nu + 0.5))
     mu = nu - n                      # mu in [-1/2, 1/2]
@@ -87,7 +94,7 @@ def _kv_series_np(nu, x):
     return k1
 
 
-def _kv_trapezoid_np(nu, u):
+def _kv_trapezoid(nu, u):
     """K_nu(u) for u > 2 by the trapezoidal rule on the cosh integral.
 
     K_nu(u) = e^{-u} int_0^T exp(-2u sinh^2(t/2)) cosh(nu t) dt with
@@ -124,29 +131,26 @@ def kv_batch(nu, u):
     small = (u <= 2.0) & (u > 0)
     large = (u > 2.0) & (u <= _KV_UNDERFLOW_U)
     if np.any(small):
-        out[small] = _kv_series_np(nu, u[small])
+        out[small] = _kv_series(nu, u[small])
     if np.any(large):
-        out[large] = _kv_trapezoid_np(nu, u[large])
+        out[large] = _kv_trapezoid(nu, u[large])
     return out
 
 
 # ---------------------------------------------------------------------------
 # Gauss hypergeometric 2F1 for real parameters, z <= 0.
 
-@maybe_njit(cache=True)
 def _gammasgn(x):
     if x > 0.0:
         return 1.0
     return 1.0 if math.floor(x) % 2 == 0 else -1.0
 
 
-@maybe_njit(cache=True)
 def _rgamma_zero(x):
     """True where 1/Gamma(x) = 0, i.e. at the non-positive integers."""
     return x <= 0.0 and x == math.floor(x)
 
 
-@maybe_njit(cache=True)
 def _conn_coef(a, b, c):
     """Sign and log-magnitude of Gamma(c) Gamma(b-a) / (Gamma(b) Gamma(c-a)).
 
@@ -163,125 +167,64 @@ def _conn_coef(a, b, c):
     return sg, lg
 
 
-@maybe_njit(cache=True)
 def _hyp_series(a, b, c, w, max_terms):
-    """Kahan-compensated power series sum_k (a)_k (b)_k / ((c)_k k!) w^k."""
-    s = 1.0
-    comp = 0.0
-    t = 1.0
-    for k in range(max_terms):
-        t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w
-        y = t - comp
-        snew = s + y
-        comp = (snew - s) - y
-        s = snew
-        if abs(t) < 1e-17 * abs(s):
-            return s
-    return s
+    """sum_k (a)_k (b)_k / ((c)_k k!) w^k over an array w.
 
-
-@maybe_njit(cache=True)
-def _hyp2f1_scalar(a, b, c, z):
-    """2F1(a,b;c;z) for z <= 0 (plus the tail of the series disc)."""
-    if z == 0.0:
-        return 1.0
-    if abs(z) < 0.9:
-        return _hyp_series(a, b, c, z, 1000)
-    w = z / (z - 1.0)
-    ab = a - b
-    near_int = abs(ab - math.floor(ab + 0.5)) < 0.02
-    if z >= -16.0 or near_int:
-        return (1.0 - z) ** (-a) * _hyp_series(a, c - b, c, w, 300000)
-    # |z| large: connection formula through 1/z (DLMF 15.8.2)
-    term1 = 0.0
-    sg, lg = _conn_coef(a, b, c)
-    if sg != 0.0:
-        term1 = sg * math.exp(lg - a * math.log(-z)) * _hyp_series(
-            a, a - c + 1.0, a - b + 1.0, 1.0 / z, 400)
-    term2 = 0.0
-    sg, lg = _conn_coef(b, a, c)
-    if sg != 0.0:
-        term2 = sg * math.exp(lg - b * math.log(-z)) * _hyp_series(
-            b, b - c + 1.0, b - a + 1.0, 1.0 / z, 400)
-    return term1 + term2
-
-
-@maybe_njit(cache=True)
-def _hyp2f1_batch_jit(a, b, c, z):
-    out = np.empty(z.shape[0])
-    for i in range(z.shape[0]):
-        out[i] = _hyp2f1_scalar(a, b, c, z[i])
-    return out
-
-
-def _hyp_series_np(a, b, c, w, max_terms):
+    Raises SpecfunError when ``max_terms`` terms leave the last one above
+    1e-17 of the sum.
+    """
     s = np.ones_like(w)
     t = np.ones_like(w)
     for k in range(max_terms):
         t = t * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * w
         s = s + t
         if abs(t).max() < 1e-17 * abs(s).max():
-            break
-    return s
+            return s
+    raise SpecfunError(
+        f"2F1 series reached its cap of {max_terms} terms with the last "
+        f"term {abs(t).max() / abs(s).max():.1e} of the sum")
 
 
-def _hyp2f1_batch_np(a, b, c, z):
-    z = np.asarray(z, dtype=float)
+def hyp2f1_batch(a, b, c, z):
+    """2F1(a, b; c; z) over a 1-d array of z <= 0: direct series for
+    |z| < 0.9, Pfaff transformation down to z = -16 (or when a - b is near
+    an integer), the 1/z connection formula beyond."""
+    a, b, c = float(a), float(b), float(c)
+    z = np.ascontiguousarray(np.asarray(z, dtype=float).ravel())
     out = np.ones_like(z)
     direct = np.abs(z) < 0.9
     if direct.any():
-        out[direct] = _hyp_series_np(a, b, c, z[direct], 1000)
+        out[direct] = _hyp_series(a, b, c, z[direct], 1000)
     ab = a - b
     near_int = abs(ab - math.floor(ab + 0.5)) < 0.02
     pfaff = ~direct & ((z >= -16.0) | near_int)
     if pfaff.any():
         zz = z[pfaff]
         w = zz / (zz - 1.0)
-        out[pfaff] = (1.0 - zz) ** (-a) * _hyp_series_np(a, c - b, c, w, 300000)
+        out[pfaff] = (1.0 - zz) ** (-a) * _hyp_series(a, c - b, c, w, 300000)
     far = ~(direct | pfaff)
     if far.any():
         zz = z[far]
         acc = np.zeros_like(zz)
         sg, lg = _conn_coef(a, b, c)
         if sg != 0.0:
-            acc += sg * np.exp(lg - a * np.log(-zz)) * _hyp_series_np(
+            acc += sg * np.exp(lg - a * np.log(-zz)) * _hyp_series(
                 a, a - c + 1.0, a - b + 1.0, 1.0 / zz, 400)
         sg, lg = _conn_coef(b, a, c)
         if sg != 0.0:
-            acc += sg * np.exp(lg - b * np.log(-zz)) * _hyp_series_np(
+            acc += sg * np.exp(lg - b * np.log(-zz)) * _hyp_series(
                 b, b - c + 1.0, b - a + 1.0, 1.0 / zz, 400)
         out[far] = acc
     return out
 
 
-def hyp2f1_batch(a, b, c, z):
-    z = np.ascontiguousarray(np.asarray(z, dtype=float).ravel())
-    if NUMBA_ENABLED:
-        return _hyp2f1_batch_jit(float(a), float(b), float(c), z)
-    return _hyp2f1_batch_np(float(a), float(b), float(c), z)
-
-
 # ---------------------------------------------------------------------------
 # Chambers-Mallows-Stuck transform for symmetric alpha-stable variates.
 
-@maybe_njit(cache=True)
-def _cms_batch_jit(theta, w, alpha):
-    out = np.empty(theta.shape[0])
-    if alpha == 1.0:
-        for i in range(theta.shape[0]):
-            out[i] = math.tan(theta[i])
-        return out
-    inv_a = 1.0 / alpha
-    expo = (1.0 - alpha) * inv_a
-    for i in range(theta.shape[0]):
-        th = theta[i]
-        s = math.sin(alpha * th) / math.cos(th) ** inv_a
-        t = (math.cos((1.0 - alpha) * th) / w[i]) ** expo
-        out[i] = s * t
-    return out
-
-
-def _cms_batch_np(theta, w, alpha):
+def cms_batch(theta, w, alpha):
+    theta = np.ascontiguousarray(theta, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    alpha = float(alpha)
     if alpha == 1.0:
         return np.tan(theta)
     inv_a = 1.0 / alpha
@@ -290,33 +233,13 @@ def _cms_batch_np(theta, w, alpha):
     return s * (np.cos((1.0 - alpha) * theta) / w) ** expo
 
 
-def cms_batch(theta, w, alpha):
-    theta = np.ascontiguousarray(theta, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _cms_batch_jit(theta, w, float(alpha))
-    return _cms_batch_np(theta, w, float(alpha))
-
-
 # ---------------------------------------------------------------------------
 # Scalar moving-average kernels on 1-d grids (exponential and TFSM flavors).
 
-@maybe_njit(cache=True)
-def _ma_matrix_1d_jit(sites, nodes, nu, lam):
-    out = np.empty((sites.shape[0], nodes.shape[0]))
-    for i in range(sites.shape[0]):
-        x = sites[i]
-        for j in range(nodes.shape[0]):
-            y = nodes[j]
-            r1 = abs(x - y)
-            r0 = abs(y)
-            v1 = 0.0 if r1 == 0.0 else math.exp(-lam * r1) * r1 ** nu
-            v0 = 0.0 if r0 == 0.0 else math.exp(-lam * r0) * r0 ** nu
-            out[i, j] = v1 - v0
-    return out
-
-
-def _ma_matrix_1d_np(sites, nodes, nu, lam):
+def ma_matrix_1d(sites, nodes, nu, lam):
+    sites = np.ascontiguousarray(sites, dtype=np.float64)
+    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
+    nu, lam = float(nu), float(lam)
     r1 = np.abs(sites[:, None] - nodes[None, :])
     r0 = np.abs(nodes)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -325,30 +248,10 @@ def _ma_matrix_1d_np(sites, nodes, nu, lam):
     return v1 - v0
 
 
-def ma_matrix_1d(sites, nodes, nu, lam):
-    sites = np.ascontiguousarray(sites, dtype=np.float64)
+def tfsm_matrix(times, nodes, expo, lam):
+    times = np.ascontiguousarray(times, dtype=np.float64)
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _ma_matrix_1d_jit(sites, nodes, float(nu), float(lam))
-    return _ma_matrix_1d_np(sites, nodes, float(nu), float(lam))
-
-
-@maybe_njit(cache=True)
-def _tfsm_matrix_jit(times, nodes, expo, lam):
-    out = np.empty((times.shape[0], nodes.shape[0]))
-    for i in range(times.shape[0]):
-        t = times[i]
-        for j in range(nodes.shape[0]):
-            y = nodes[j]
-            a = t - y
-            b = -y
-            v1 = a ** expo * math.exp(-lam * a) if a > 0.0 else 0.0
-            v0 = b ** expo * math.exp(-lam * b) if b > 0.0 else 0.0
-            out[i, j] = v1 - v0
-    return out
-
-
-def _tfsm_matrix_np(times, nodes, expo, lam):
+    expo, lam = float(expo), float(lam)
     a = times[:, None] - nodes[None, :]
     b = -nodes[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -357,41 +260,15 @@ def _tfsm_matrix_np(times, nodes, expo, lam):
     return v1 - np.broadcast_to(v0, v1.shape)
 
 
-def tfsm_matrix(times, nodes, expo, lam):
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _tfsm_matrix_jit(times, nodes, float(expo), float(lam))
-    return _tfsm_matrix_np(times, nodes, float(expo), float(lam))
-
-
 # ---------------------------------------------------------------------------
 # Graph box counting for 1-d sample paths.
 
-@maybe_njit(cache=True)
-def _box_count_jit(values, samples_per_col, eps):
-    n_cols = values.shape[0] // samples_per_col
-    total = 0
-    for c in range(n_cols):
-        lo = values[c * samples_per_col]
-        hi = lo
-        for k in range(samples_per_col + 1):
-            idx = c * samples_per_col + k
-            if idx >= values.shape[0]:
-                break
-            v = values[idx]
-            if v < lo:
-                lo = v
-            if v > hi:
-                hi = v
-        total += int(math.floor(hi / eps)) - int(math.floor(lo / eps)) + 1
-    return total
-
-
-def _box_count_np(values, samples_per_col, eps):
+def box_count(values, samples_per_col, eps):
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    samples_per_col, eps = int(samples_per_col), float(eps)
     n_cols = values.shape[0] // samples_per_col
     trimmed = values[:n_cols * samples_per_col].reshape(n_cols, samples_per_col)
-    # columns share their right edge with the next sample, like the jit loop
+    # each column also holds the first sample of the next one
     edge_idx = np.arange(1, n_cols + 1) * samples_per_col
     right = np.where(edge_idx < values.shape[0],
                      values[np.minimum(edge_idx, values.shape[0] - 1)],
@@ -400,10 +277,3 @@ def _box_count_np(values, samples_per_col, eps):
     hi = np.floor(cols.max(axis=1) / eps)
     lo = np.floor(cols.min(axis=1) / eps)
     return int(np.sum(hi - lo + 1))
-
-
-def box_count(values, samples_per_col, eps):
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _box_count_jit(values, int(samples_per_col), float(eps))
-    return _box_count_np(values, int(samples_per_col), float(eps))

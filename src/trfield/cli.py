@@ -35,7 +35,6 @@ import time
 import numpy as np
 
 from . import __version__
-from ._accel import set_num_threads
 from .aniso import AnisoError
 from .covariance import (CovarianceError, CovarianceModel,
                          IsotropicGaussianSpec, TFBMCovariance,
@@ -343,12 +342,9 @@ def main(argv=None):
                         help="seed override for stochastic commands")
     parser.add_argument("--out", default="trfield_out",
                         help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="thread budget for jitted kernels")
     parser.add_argument("--tolerance-scale", type=float, default=1.0,
                         help="multiplier applied to xcheck tolerances")
     args = parser.parse_args(argv)
-    set_num_threads(args.threads)
     try:
         with open(args.config, "rb") as fh:
             blob = fh.read()

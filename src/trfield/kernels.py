@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _fast
 from .aniso import AnisoError, EHomogeneousFn
-from .matfun import MatrixExponent, MatfunError, matrix_bessel_k
+from .matfun import (MatrixExponent, MatfunError, _jordan_fill, _maybe_real,
+                     matrix_bessel_k)
 from .specfun import gamma_fn
 
 __all__ = [
@@ -107,21 +108,12 @@ class ScalarPowerCache:
         s_arr = np.asarray(s_arr, dtype=float)
         if self.scalar:
             return (s_arr ** self.nu0)[:, None, None]
-        n = self.n
-        hj = np.zeros((len(s_arr), n, n), dtype=complex)
         logs = np.log(s_arr)
-        at = 0
-        for theta, r in self.blocks:
-            base = np.exp(theta * logs)
-            for k in range(r):
-                fill = base * logs ** k / math.factorial(k)
-                for i in range(r - k):
-                    hj[:, at + i + k, at + i] = fill
-            at += r
+        hj = _jordan_fill(self.blocks,
+                          lambda k, t: np.exp(t * logs) * logs ** k,
+                          lead=logs.shape)
         out = np.einsum("ij,mjk,kl->mil", self.p, hj, self.pinv)
-        if np.max(np.abs(out.imag)) < 1e-9 * max(1.0, np.max(np.abs(out))):
-            out = out.real
-        return out
+        return _maybe_real(out, np.max(np.abs(out)))
 
 
 class FieldSpec:

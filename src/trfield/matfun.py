@@ -106,7 +106,8 @@ class MatrixExponent:
                 raise MatfunError("jordan_blocks required with change_of_basis")
             p = np.asarray(change_of_basis, dtype=complex)
             blocks = [(complex(t), int(r)) for t, r in jordan_blocks]
-            recon = p @ _block_matrix(blocks) @ np.linalg.inv(p)
+            recon = p @ _jordan_fill(blocks, _identity_derivative) \
+                @ np.linalg.inv(p)
             scale = max(np.max(np.abs(entries)), 1e-30)
             if np.max(np.abs(recon - entries)) > _RECONSTRUCT_RTOL * scale:
                 raise MatfunError("supplied Jordan data does not reconstruct "
@@ -117,8 +118,8 @@ class MatrixExponent:
     def from_jordan(cls, p, blocks):
         """Build from an explicit Jordan decomposition P, [(eig, size), ...]."""
         p = np.asarray(p, dtype=complex)
-        entries = p @ _block_matrix([(complex(t), int(r)) for t, r in blocks]) \
-            @ np.linalg.inv(p)
+        entries = p @ _jordan_fill([(complex(t), int(r)) for t, r in blocks],
+                                   _identity_derivative) @ np.linalg.inv(p)
         entries = _maybe_real(entries, np.max(np.abs(entries)))
         if np.iscomplexobj(entries):
             raise MatfunError("Jordan data does not describe a real matrix")
@@ -179,16 +180,29 @@ class MatrixExponent:
         return f"MatrixExponent({self.entries.tolist()})"
 
 
-def _block_matrix(blocks):
+def _jordan_fill(blocks, deriv, lead=()):
+    """(*lead, n, n) block-diagonal f(J) for the Jordan matrix J of ``blocks``.
+
+    ``deriv(k, theta)`` is the k-th derivative of f at theta, an array of
+    shape ``lead`` or a scalar; the block of theta holds deriv(k, theta)/k!
+    at entries (i + k, i), Jordan blocks carrying their ones below the
+    diagonal.
+    """
     n = sum(r for _, r in blocks)
-    j = np.zeros((n, n), dtype=complex)
+    out = np.zeros(tuple(lead) + (n, n), dtype=complex)
     at = 0
     for theta, r in blocks:
-        j[at:at + r, at:at + r] = theta * np.eye(r)
-        for k in range(r - 1):
-            j[at + k + 1, at + k] = 1.0      # subdiagonal ones
+        for k in range(r):
+            fill = deriv(k, theta) / math.factorial(k)
+            for i in range(r - k):
+                out[..., at + i + k, at + i] = fill
         at += r
-    return j
+    return out
+
+
+def _identity_derivative(k, theta):
+    """Derivatives of the identity stem: theta, 1, 0, 0, ..."""
+    return theta if k == 0 else float(k == 1)
 
 
 def _diagonalizable_basis(entries):
@@ -235,33 +249,14 @@ def matrix_power(m, c):
         raise MatfunError("matrix_power requires finite c > 0")
     if isinstance(m, MatrixExponent) and m._basis is not None:
         p, blocks = m._basis
-        out = p @ _block_power(blocks, c) @ np.linalg.inv(p)
+        lc = math.log(c)
+        out = p @ _jordan_fill(blocks, lambda k, t: c ** t * lc ** k) \
+            @ np.linalg.inv(p)
         return _maybe_real(out, np.max(np.abs(out)))
     a = _as_matrix(m)
     if not np.all(np.isfinite(a)):
         raise MatfunError("matrix_power: non-finite entries")
     return expm(math.log(c) * a)
-
-
-def _block_power(blocks, c):
-    lc = math.log(c)
-    mats = []
-    for theta, r in blocks:
-        base = c ** theta
-        blk = np.zeros((r, r), dtype=complex)
-        for k in range(r):
-            fill = base * lc ** k / math.factorial(k)
-            for i in range(r - k):
-                blk[i + k, i] = fill
-        mats.append(blk)
-    n = sum(r for _, r in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    at = 0
-    for blk in mats:
-        r = blk.shape[0]
-        out[at:at + r, at:at + r] = blk
-        at += r
-    return out
 
 
 class StemFunction:
@@ -381,16 +376,7 @@ def primary_matrix_fn(stem, m):
         if not stem.domain_ok(theta):
             raise MatfunError(
                 f"stem '{stem.name}' undefined at eigenvalue {theta}")
-    n = mat.shape[0]
-    hj = np.zeros((n, n), dtype=complex)
-    at = 0
-    for theta, r in blocks:
-        for k in range(r):
-            fill = complex(stem.derivative(k, theta)) / math.factorial(k)
-            for i in range(r - k):
-                hj[at + i + k, at + i] = fill
-        at += r
-    out = p @ hj @ np.linalg.inv(p)
+    out = p @ _jordan_fill(blocks, stem.derivative) @ np.linalg.inv(p)
     if stem.real_result and not np.iscomplexobj(mat):
         spectrum_conj_closed = _conjugate_closed([t for t, _ in blocks])
         if spectrum_conj_closed:

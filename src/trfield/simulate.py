@@ -11,7 +11,6 @@ float64 little-endian payload (row-major, sites x n).
 """
 
 import functools
-import io
 import json
 import math
 import struct
@@ -147,9 +146,11 @@ class Realization:
         cols = np.hstack([sites, self.values])
         head = ",".join([f"x{i}" for i in range(sites.shape[1])]
                         + [f"v{i}" for i in range(self.n)])
-        buf = io.BytesIO()
-        np.savetxt(buf, cols, delimiter=",", header=head, comments="")
-        return buf.getvalue()
+        # the bytes of np.savetxt(..., delimiter=",", header=head,
+        # comments=""), with one format operation over all rows
+        row = ",".join(["%.18e"] * cols.shape[1]) + "\n"
+        body = (row * cols.shape[0]) % tuple(cols.ravel().tolist())
+        return (head + "\n" + body).encode("ascii")
 
     def to_csv(self, path):
         with open(path, "wb") as fh:

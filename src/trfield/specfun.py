@@ -1,9 +1,9 @@
 """Scalar special functions used by the covariance formulas.
 
 Gamma/Beta via the Lanczos approximation, the modified Bessel function
-K_nu (Temme-style series for small argument, quadrature of the cosh
-integral representation elsewhere), the Bessel function J_nu, and the
-Gauss hypergeometric 2F1 restricted to nonpositive real argument.
+K_nu (Temme-style series for small argument, trapezoidal cosh integral
+elsewhere), the Bessel function J_nu, and the Gauss hypergeometric 2F1
+restricted to nonpositive real argument.
 """
 
 import cmath
@@ -12,15 +12,12 @@ import math
 import numpy as np
 
 from . import _fast
+from ._fast import SpecfunError
 
 __all__ = [
     "SpecfunError", "gamma_fn", "digamma", "beta_fn",
     "bessel_k", "bessel_k_batch", "bessel_j", "hyp2f1", "hyp2f1_batch",
 ]
-
-
-class SpecfunError(ValueError):
-    pass
 
 
 # Lanczos g=7, n=9 coefficients (Godfrey's set).

@@ -6,7 +6,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from stat_helpers import ks_2sample_pvalue
 
 from trfield.aniso import EHomogeneousFn
@@ -29,18 +28,6 @@ from trfield.specfun import bessel_k, gamma_fn, hyp2f1
 def _report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_jit():
-    # touch the jitted kernels once so compile time stays out of budgets
-    from trfield import _fast
-    _fast.kv_batch(0.3, np.array([0.5, 3.0]))
-    _fast.hyp2f1_batch(0.5, 1.0, 0.5, np.array([-0.5, -40.0]))
-    _fast.cms_batch(np.array([0.1]), np.array([1.0]), 1.5)
-    _fast.tfsm_matrix(np.array([1.0]), np.array([0.0]), 0.2, 0.3)
-    _fast.ma_matrix_1d(np.array([1.0]), np.array([0.0]), 0.2, 0.3)
-    _fast.box_count(np.array([0.0, 1.0, 0.5]), 1, 0.5)
 
 
 def _kv_complex_simpson(nu, u, n_panels=800):

@@ -6,8 +6,8 @@ import pytest
 
 from trfield.aniso import EHomogeneousFn
 from trfield.kernels import (ExistenceReport, FieldSpec, KernelError,
-                             MeasureSpec, existence_check, h_kernel,
-                             ma_kernel, mab_kernel, tfsm_kernel)
+                             MeasureSpec, ScalarPowerCache, existence_check,
+                             h_kernel, ma_kernel, mab_kernel, tfsm_kernel)
 from trfield.matfun import MatrixExponent, matrix_power
 from trfield.quadrature import adaptive_gk
 from trfield.specfun import bessel_k
@@ -26,6 +26,23 @@ def make_spec(flavor="MA", d=1, n=1, lam=1.0, hurst=0.7, alphas=None,
     measure = MeasureSpec("gaussian", n=n) if alphas is None else \
         MeasureSpec("sas", alphas=alphas)
     return FieldSpec(flavor, d, n, lam, e_entries, h_entries, phi, measure)
+
+
+# ---------------------------------------------------------------------------
+# s -> s^A over a vector of scalars
+
+@pytest.mark.parametrize("exponent", [
+    MatrixExponent.from_jordan([[1.0, 0.3], [-0.2, 1.0]], [(0.6, 2)]),
+    MatrixExponent([[0.7, -0.3], [0.3, 0.7]]),      # eigenvalues 0.7 +- 0.3i
+], ids=["jordan_block", "rotation"])
+def test_scalar_power_cache_matches_matrix_power(exponent):
+    s = np.array([0.05, 0.3, 1.0, 2.5, 40.0])
+    out = ScalarPowerCache(exponent).batch(s)
+    assert not np.iscomplexobj(out)
+    for si, got in zip(s, out):
+        # a plain array takes the expm path of matrix_power
+        expect = matrix_power(exponent.entries, si)
+        assert np.max(np.abs(got - expect)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,13 @@ def test_primary_matrix_fn_jordan_block_derivative_fill():
 
 def test_primary_matrix_fn_matches_matrix_power(rng):
     m = _random_matrix(rng, 3, 0.7)
-    out = primary_matrix_fn(power_stem(5.0), m)
-    assert np.max(np.abs(out - matrix_power(m, 5.0))) < 1e-9
+    p = np.array([[1.0, 0.4, 0.0], [0.2, 1.0, 0.3], [0.0, 0.5, 1.0]])
+    jordan = MatrixExponent.from_jordan(p, [(0.6, 2), (1.1, 1)])
+    # plain arrays take the expm path of matrix_power, so the Jordan fill
+    # is checked against scaling and squaring
+    for arg, entries in ((m, m), (jordan, jordan.entries)):
+        out = primary_matrix_fn(power_stem(5.0), arg)
+        assert np.max(np.abs(out - matrix_power(entries, 5.0))) < 1e-9
 
 
 def test_primary_matrix_fn_similarity_covariance(rng):

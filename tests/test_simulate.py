@@ -1,3 +1,4 @@
+import io
 import math
 import os
 
@@ -83,6 +84,17 @@ def test_realization_csv_export(tmp_path):
     rows = open(p).read().strip().splitlines()
     assert rows[0] == "x0,v0"
     assert len(rows) == 5
+
+
+def test_realization_csv_bytes_match_savetxt():
+    g = GridSpec([(0.0, 1.0), (-2.0, 3.0)], [3, 2])
+    vals = np.array([[0.0, -0.0], [1e300, -1e-300], [math.pi, -1.0],
+                     [2.5, 1e-5], [-7.0, 123456.789], [1.0 / 3.0, 0.1]])
+    r = Realization(g, vals, {})
+    buf = io.BytesIO()
+    np.savetxt(buf, np.hstack([g.sites(), vals]), delimiter=",",
+               header="x0,x1,v0,v1", comments="")
+    assert r.to_csv_bytes() == buf.getvalue()
 
 
 def test_realization_rejects_nonfinite():

@@ -254,8 +254,23 @@ def test_hyp2f1_dual_path_random_points(rng):
             (a, b, c, z)
 
 
+def _hyp_series(a, b, c, w, max_terms):
+    """Kahan-compensated power series sum_k (a)_k (b)_k / ((c)_k k!) w^k."""
+    s = 1.0
+    comp = 0.0
+    t = 1.0
+    for k in range(max_terms):
+        t *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w
+        y = t - comp
+        snew = s + y
+        comp = (snew - s) - y
+        s = snew
+        if abs(t) < 1e-17 * abs(s):
+            return s
+    return s
+
+
 def test_hyp2f1_continuity_at_branch_switches():
-    from trfield._fast import _hyp_series
     a, b, c = 0.62, 1.12, 0.5
     # both internal branches evaluated at the exact switch points
     for z0 in (-0.9, -16.0):
@@ -291,6 +306,18 @@ def test_hyp2f1_domain_errors():
         hyp2f1(0.5, 0.5, 1.5, 0.5)
 
 
+def test_hyp2f1_series_raises_at_term_cap():
+    with pytest.raises(SpecfunError, match="cap of 50 terms"):
+        _fast._hyp_series(0.5, 1.5, 0.7, np.array([0.99]), 50)
+
+
+def test_hyp2f1_raises_where_pfaff_series_hits_cap():
+    # a - b is an integer, so z = -1e6 takes the Pfaff series at
+    # w = 1 - 1e-6, which has not converged after 300000 terms
+    with pytest.raises(SpecfunError, match="cap of 300000 terms"):
+        hyp2f1(0.5, 1.5, 0.7, -1e6)
+
+
 def test_hyp2f1_batch_matches_scalar(rng):
     z = -np.exp(rng.uniform(np.log(1e-3), np.log(1e4), 64))
     batch = hyp2f1_batch(0.65, 1.15, 0.5, z)
@@ -300,13 +327,9 @@ def test_hyp2f1_batch_matches_scalar(rng):
 
 # ---------------------------------------------------------------------------
 # 2F1 far branch (z < -16): the 1/z connection formula at Gamma poles.
-# Both twins are called directly, so the numpy path is checked even where
-# numba is installed.
 
 _HYP_PATHS = {
-    "numpy": _fast._hyp2f1_batch_np,
-    "scalar": lambda a, b, c, z: np.array(
-        [_fast._hyp2f1_scalar(a, b, c, float(zi)) for zi in z]),
+    "numpy": _fast.hyp2f1_batch,
 }
 _FAR_Z = np.array([-16.5, -40.0, -1.0e3, -1.0e6])
 
