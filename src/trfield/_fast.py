@@ -2,10 +2,11 @@
 
 ``kv_batch`` (K_nu: a Temme series for u <= 2, a trapezoidal cosh
 integral above), ``hyp2f1_batch`` (Gauss 2F1 for z <= 0),
-``cms_batch`` (Chambers-Mallows-Stuck variates), ``ma_matrix_1d`` and
-``tfsm_matrix`` (moving-average kernel matrices) and ``box_count``
-evaluate their recurrences with array masks.  ``trfield.benchmark``
-times them all.
+``cms_batch`` (Chambers-Mallows-Stuck variates; at alpha = 2 the exact
+closed form 2 sin(theta) sqrt(w)), ``ma_matrix_1d`` and ``tfsm_matrix``
+(moving-average kernel matrices, through the one tempered power
+``_tempered_power``) and ``box_count`` evaluate their recurrences with
+array masks.  ``trfield.benchmark`` times them all.
 """
 
 import math
@@ -222,42 +223,53 @@ def hyp2f1_batch(a, b, c, z):
 # Chambers-Mallows-Stuck transform for symmetric alpha-stable variates.
 
 def cms_batch(theta, w, alpha):
-    theta = np.ascontiguousarray(theta, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
     alpha = float(alpha)
     if alpha == 1.0:
         return np.tan(theta)
+    if alpha == 2.0:
+        # sin(2t) cos(t)^{-1/2} (cos(t)/w)^{-1/2} = 2 sin(t) sqrt(w)
+        return 2.0 * np.sin(theta) * np.sqrt(w)
+    # sin(at) cos(t)^{-1/a} (cos((1-a)t)/w)^{(1-a)/a}, both powers in one exp
     inv_a = 1.0 / alpha
-    expo = (1.0 - alpha) * inv_a
-    s = np.sin(alpha * theta) / np.cos(theta) ** inv_a
-    return s * (np.cos((1.0 - alpha) * theta) / w) ** expo
+    out = (1.0 - alpha) * inv_a * np.log(np.cos((1.0 - alpha) * theta) / w)
+    out -= inv_a * np.log(np.cos(theta))
+    return np.sin(alpha * theta) * np.exp(out)
 
 
 # ---------------------------------------------------------------------------
 # Scalar moving-average kernels on 1-d grids (exponential and TFSM flavors).
 
-def ma_matrix_1d(sites, nodes, nu, lam):
-    sites = np.ascontiguousarray(sites, dtype=np.float64)
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    nu, lam = float(nu), float(lam)
-    r1 = np.abs(sites[:, None] - nodes[None, :])
-    r0 = np.abs(nodes)[None, :]
+def _tempered_power(r, expo, lam, out):
+    """r^expo e^{-lam r} where r > 0, else 0, into ``out`` (not ``r``):
+    one log, one exp and a mask; ``r`` is overwritten by -lam r."""
+    zero = r <= 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        v1 = np.where(r1 > 0, np.exp(-lam * r1) * r1 ** nu, 0.0)
-        v0 = np.where(r0 > 0, np.exp(-lam * r0) * r0 ** nu, 0.0)
-    return v1 - v0
+        np.log(r, out=out)
+        out *= expo                  # 0 * (-inf) at expo = 0, zeroed below
+    r *= -lam
+    out += r
+    np.exp(out, out=out)
+    out[zero] = 0.0
+    return out
+
+
+def ma_matrix_1d(sites, nodes, nu, lam):
+    nodes = np.asarray(nodes, dtype=np.float64)
+    r = np.subtract.outer(np.asarray(sites, dtype=np.float64), nodes)
+    out = _tempered_power(np.abs(r, out=r), nu, lam, np.empty_like(r))
+    out -= _tempered_power(np.abs(nodes), nu, lam, np.empty_like(nodes))
+    return out
 
 
 def tfsm_matrix(times, nodes, expo, lam):
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    expo, lam = float(expo), float(lam)
-    a = times[:, None] - nodes[None, :]
-    b = -nodes[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v1 = np.where(a > 0, np.where(a > 0, a, 1.0) ** expo * np.exp(-lam * np.abs(a)), 0.0)
-        v0 = np.where(b > 0, np.where(b > 0, b, 1.0) ** expo * np.exp(-lam * np.abs(b)), 0.0)
-    return v1 - np.broadcast_to(v0, v1.shape)
+    nodes = np.asarray(nodes, dtype=np.float64)
+    a = np.subtract.outer(np.asarray(times, dtype=np.float64), nodes)
+    out = _tempered_power(np.maximum(a, 0.0, out=a), expo, lam,
+                          np.empty_like(a))
+    out -= _tempered_power(np.maximum(-nodes, 0.0), expo, lam,
+                           np.empty_like(nodes))
+    return out
 
 
 # ---------------------------------------------------------------------------

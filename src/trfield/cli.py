@@ -47,9 +47,9 @@ from .kernels import FieldSpec, KernelError, existence_check
 from .matfun import MatfunError
 from .quadrature import QuadratureError
 from .simulate import (GridSpec, Realization, SimulationError,
-                       gaussian_exact_many, ma_synthesis,
-                       sas_truncation_report, spectral_synthesis,
-                       tfsm_synthesis)
+                       SimulationToleranceError, gaussian_exact_many,
+                       ma_synthesis, sas_truncation_report,
+                       spectral_synthesis, tfsm_synthesis)
 from .specfun import SpecfunError
 
 EXIT_OK = 0
@@ -374,7 +374,7 @@ def main(argv=None):
             AnisoError, MatfunError, SpecfunError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except QuadratureError as exc:
+    except (QuadratureError, SimulationToleranceError) as exc:
         print(f"numerical tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except SimulationError as exc:

@@ -587,11 +587,6 @@ def ibtofbf_cov(spec, x, x2):
     return _pinned_cov(functools.partial(_ibtofbf_v, spec), spec.n, x, x2)
 
 
-def ibtofbf_variance(spec, x):
-    return _pinned_point_variance(functools.partial(_ibtofbf_v, spec),
-                                  spec.n, x)
-
-
 def ibtofbf_increment_cov(spec, k):
     """gamma(k) = Cov(X(k+1)-X(k), X(1)-X(0)) along e1.
 

@@ -33,19 +33,6 @@ _GW = np.zeros(15)
 _GW[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])        # Gauss weights
 
 
-def _gk15(f, a, b):
-    """One Gauss-Kronrod panel; returns (kronrod, error_estimate)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _NODES
-    fx = np.asarray(f(x))
-    # trailing axes (if any) carry vector/matrix components
-    ik = half * np.tensordot(_KW, fx, axes=(0, 0))
-    ig = half * np.tensordot(_GW, fx, axes=(0, 0))
-    err = np.max(np.abs(ik - ig)) if np.ndim(ik) else abs(ik - ig)
-    return ik, err
-
-
 def _gk15_batch(f, lo, hi):
     """Vectorized Gauss-Kronrod panels over arrays of interval edges."""
     lo = np.asarray(lo, dtype=float)

@@ -3,7 +3,10 @@ and moving-average Riemann sums driven by Gaussian or SaS noise.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id), so draws are reproducible and order-independent:
-stream 0 feeds measure/noise arrays for draw 0, stream j for draw j.
+stream j feeds the noise of draw j, whatever the number of draws.
+Moving-average fields and tempered fractional stable motion (its
+one-sided 1-d case) share one Riemann-sum engine, one GEMM per block of
+draws.
 
 Realizations persist in a small binary container: magic ``TRF1``, a
 little-endian uint32 header length, a UTF-8 JSON header, then the
@@ -19,22 +22,27 @@ import numpy as np
 
 from . import _fast
 from .covariance import CovarianceError, IsotropicGaussianSpec
-from .kernels import FieldSpec, KernelError, existence_check
+from .kernels import FieldSpec, KernelError, MeasureSpec, existence_check
 
 __all__ = [
-    "SimulationError", "GridSpec", "Realization", "philox_stream",
-    "sas_sample", "gaussian_exact", "gaussian_exact_many",
-    "spectral_synthesis", "ma_synthesis", "tfsm_synthesis",
-    "sas_truncation_report", "truncation_margin", "tempering_radius",
-    "symmetric_freq_grid", "spectral_tail_cutoff",
+    "SimulationError", "SimulationToleranceError", "GridSpec",
+    "Realization", "philox_stream", "sas_sample", "gaussian_exact",
+    "gaussian_exact_many", "spectral_synthesis", "ma_synthesis",
+    "tfsm_synthesis", "sas_truncation_report", "truncation_margin",
+    "tempering_radius", "symmetric_freq_grid", "spectral_tail_cutoff",
 ]
 
 EXACT_SITE_CAP = 16384
 _MAGIC = b"TRF1"
+_NOISE_BLOCK_BYTES = 32 << 20       # noise per GEMM block of draws
 
 
 class SimulationError(RuntimeError):
     pass
+
+
+class SimulationToleranceError(SimulationError):
+    """A numerical tolerance failed during synthesis (the CLI exits 4)."""
 
 
 class GridSpec:
@@ -170,10 +178,13 @@ def sas_sample(alpha, scale, seed, count, stream_id=0):
         raise SimulationError("alpha must lie in (0, 2]")
     if scale <= 0:
         raise SimulationError("scale must be positive")
-    gen = philox_stream(seed, stream_id)
+    return scale * _cms_noise(philox_stream(seed, stream_id), alpha, count)
+
+
+def _cms_noise(gen, alpha, count):
+    """Unit-scale SaS(alpha) variates from ``gen`` (CMS transform)."""
     theta = (gen.random(count) - 0.5) * math.pi
-    w = gen.standard_exponential(count)
-    return scale * _fast.cms_batch(theta, w, alpha)
+    return _fast.cms_batch(theta, gen.standard_exponential(count), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +215,8 @@ def _factor_gram(gram, n_sites_total):
             return chol, bump
     finally:
         gram[zero_rows, zero_rows] = 0.0
-    raise SimulationError("gram factorization failed at maximal jitter")
+    raise SimulationToleranceError(
+        "gram factorization failed at maximal jitter")
 
 
 def gaussian_exact_many(cov_model, grid, seed, n_draws):
@@ -302,7 +314,7 @@ def spectral_synthesis(spec, grid, seed, n_draws=1, freq=None,
         resid = float(np.max(np.abs(total.imag)))
         scale = max(float(np.max(np.abs(total.real))), 1e-300)
         if resid > imag_tol * scale:
-            raise SimulationError(
+            raise SimulationToleranceError(
                 f"Hermitian symmetry violated: imag residue {resid:.2e}")
         out.append(Realization(grid, total.real, {**meta, "draw": j}))
     return out if n_draws > 1 else out[0]
@@ -341,19 +353,32 @@ def _spectral_density_for(spec):
 # ---------------------------------------------------------------------------
 
 def _measure_increments(measure, dvol, gen, m_nodes):
-    """Noise increments per cell: Gaussian N(0, dvol) or per-coordinate
-    SaS with scale dvol^{1/alpha_i}, all through the same CMS stream."""
-    theta = (gen.random((m_nodes, measure.n)) - 0.5) * math.pi
-    w = gen.standard_exponential((m_nodes, measure.n))
-    out = np.empty((m_nodes, measure.n))
+    """Noise increments per cell of the first measure coordinate: Gaussian
+    N(0, dvol) (the alpha = 2 CMS transform over sqrt(2)) or SaS with
+    scale dvol^{1/alpha}."""
     if measure.variant == "gaussian":
-        for i in range(measure.n):
-            out[:, i] = _fast.cms_batch(theta[:, i], w[:, i], 2.0) \
-                * math.sqrt(dvol) / math.sqrt(2.0)
-    else:
-        for i, alpha in enumerate(measure.alphas):
-            out[:, i] = _fast.cms_batch(theta[:, i], w[:, i], alpha) \
-                * dvol ** (1.0 / alpha)
+        return _cms_noise(gen, 2.0, m_nodes) * math.sqrt(dvol) / math.sqrt(2.0)
+    alpha = measure.alphas[0]
+    return _cms_noise(gen, alpha, m_nodes) * dvol ** (1.0 / alpha)
+
+
+def _riemann_sums(g, measure, dvol, seed, n_draws):
+    """(rows, n_draws) Riemann sums g @ dm_j, dm_j drawn from stream j.
+
+    Noise is drawn one draw at a time (whole-block CMS temporaries leave
+    the cache) into a ``_NOISE_BLOCK_BYTES`` matrix; one GEMM per block of
+    draws reads ``g`` once for all of them.
+    """
+    m = g.shape[1]
+    block = max(1, min(n_draws, _NOISE_BLOCK_BYTES // (8 * m)))
+    dm = np.empty((block, m))
+    out = np.empty((g.shape[0], n_draws))
+    for start in range(0, n_draws, block):
+        take = min(block, n_draws - start)
+        for i in range(take):
+            dm[i] = _measure_increments(
+                measure, dvol, philox_stream(seed, start + i), m)
+        out[:, start:start + take] = g @ dm[:take].T
     return out
 
 
@@ -393,10 +418,8 @@ def _ma_kernel_matrix(spec, sites, nodes):
     phi_y = spec.phi.batch(-nodes)
     if spec.flavor == "MA":
         def term(ph):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(ph > 0,
-                                np.exp(-spec.lambda_ * ph)
-                                * np.where(ph > 0, ph, 1.0) ** nu, 0.0)
+            return _fast._tempered_power(ph, nu, spec.lambda_,
+                                         np.empty_like(ph))
     else:
         from .specfun import bessel_k_batch
 
@@ -460,49 +483,29 @@ def ma_synthesis(spec, grid, integration_grid, seed, n_draws=1,
         raise SimulationError(
             f"integration grid covers only {margin:.2f} of the tempering "
             "radius; enlarge it or pass require_coverage=False")
-    sites = grid.sites()
-    nodes = integration_grid.midpoints()
-    dvol = integration_grid.cell_volume
-    g = _ma_kernel_matrix(spec, sites, nodes)
-    out = []
+    g = _ma_kernel_matrix(spec, grid.sites(), integration_grid.midpoints())
+    sums = _riemann_sums(g, spec.measure, integration_grid.cell_volume,
+                         seed, n_draws)
     meta = {"method": "ma_synthesis", "seed": int(seed),
             "spec": spec.to_json(), "grid": grid.to_json(),
             "integration_grid": integration_grid.to_json(),
             "truncation_margin": margin}
-    for j in range(n_draws):
-        gen = philox_stream(seed, j)
-        dm = _measure_increments(spec.measure, dvol, gen, nodes.shape[0])
-        vals = g @ dm[:, 0]
-        out.append(Realization(grid, vals[:, None], {**meta, "draw": j}))
+    out = [Realization(grid, sums[:, j], {**meta, "draw": j})
+           for j in range(n_draws)]
     return out if n_draws > 1 else out[0]
 
 
 def tfsm_synthesis(hurst, alpha, lam, times, integration_grid, seed,
-                   n_draws=1, chunk=2048):
+                   n_draws=1):
     """One-sided tempered stable motion on the line by Riemann sums.
 
     Returns an (n_draws, n_times) array; ``times`` are the observation
     points, ``integration_grid`` a 1-d GridSpec covering the kernel
-    support (y <= max(times), down to the tempering radius).
+    support (y <= max(times), down to the tempering radius).  Cells get
+    SaS(alpha) noise of scale dy^{1/alpha}, draw j from stream j.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    nodes = integration_grid.midpoints()[:, 0]
-    dy = integration_grid.cell_volume
-    expo = hurst - 1.0 / alpha
-    g = _fast.tfsm_matrix(times, nodes, expo, lam)       # (T, M)
-    m = nodes.shape[0]
-    out = np.empty((n_draws, times.shape[0]))
-    scale = dy ** (1.0 / alpha)
-    done = 0
-    block = 0
-    while done < n_draws:
-        take = min(chunk, n_draws - done)
-        gen = philox_stream(seed, block)
-        theta = (gen.random((take, m)) - 0.5) * math.pi
-        w = gen.standard_exponential((take, m))
-        for i in range(take):
-            dm = scale * _fast.cms_batch(theta[i], w[i], alpha)
-            out[done + i] = g @ dm
-        done += take
-        block += 1
-    return out
+    g = _fast.tfsm_matrix(np.atleast_1d(times),
+                          integration_grid.midpoints()[:, 0],
+                          hurst - 1.0 / alpha, lam)
+    return _riemann_sums(g, MeasureSpec("sas", alphas=[alpha]),
+                         integration_grid.cell_volume, seed, n_draws).T

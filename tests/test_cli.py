@@ -79,6 +79,25 @@ def test_cov_quadrature_failure_exits_tolerance(tmp_path, capsys):
     assert "adaptive_gk" in capsys.readouterr().err
 
 
+def test_simulate_gram_tolerance_failure_exits_tolerance(tmp_path, capsys,
+                                                        monkeypatch):
+    from trfield import simulate
+
+    def fail(gram, n_sites_total):
+        raise simulate.SimulationToleranceError(
+            "gram factorization failed at maximal jitter")
+
+    monkeypatch.setattr(simulate, "_factor_gram", fail)
+    doc = {"method": "gaussian_exact", "seed": 1,
+           "spec": {"variant": "TFBM_LINE", "h": 0.6, "lambda": 0.2},
+           "grid": {"ranges": [[0.0, 1.0]], "counts": [8]}}
+    code, _ = run(tmp_path, "simulate", doc)
+    assert code == EXIT_TOLERANCE
+    err = capsys.readouterr().err
+    assert "maximal jitter" in err
+    assert "Traceback" not in err
+
+
 def test_missing_config_file(tmp_path):
     code = main(["check", "--config", os.path.join(tmp_path, "nope.json"),
                  "--out", os.path.join(tmp_path, "o")])

@@ -9,8 +9,10 @@ from trfield.aniso import EHomogeneousFn
 from trfield.covariance import (CovarianceModel, IsotropicGaussianSpec,
                                 TFBMCovariance, itofbf_cov, tfbm_cov)
 from trfield.kernels import FieldSpec, MeasureSpec
+from trfield import _fast, simulate
 from trfield.quadrature import adaptive_gk
 from trfield.simulate import (GridSpec, Realization, SimulationError,
+                              SimulationToleranceError,
                               gaussian_exact, gaussian_exact_many,
                               ma_synthesis, philox_stream, sas_sample,
                               sas_truncation_report, spectral_synthesis,
@@ -224,6 +226,13 @@ def test_gaussian_exact_records_jitter():
     assert real.provenance["jitter"] == 0.0
 
 
+def test_factor_gram_failure_is_a_tolerance_error():
+    # an indefinite Gram fails at every jitter step
+    gram = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(SimulationToleranceError, match="maximal jitter"):
+        simulate._factor_gram(gram, 2)
+
+
 # ---------------------------------------------------------------------------
 # spectral synthesis
 
@@ -412,3 +421,56 @@ def test_tfsm_deterministic():
     a = tfsm_synthesis(0.7, 1.5, 0.3, [0.5, 1.0], igrid, 9, n_draws=3)
     b = tfsm_synthesis(0.7, 1.5, 0.3, [0.5, 1.0], igrid, 9, n_draws=3)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the Riemann-sum engine shared by ma_synthesis and tfsm_synthesis
+
+def _stream_noise(seed, j, m, alpha, scale):
+    """Draw j's noise as documented: stream j, theta then w, CMS."""
+    gen = philox_stream(seed, j)
+    theta = (gen.random(m) - 0.5) * math.pi
+    return scale * _fast.cms_batch(theta, gen.standard_exponential(m), alpha)
+
+
+def test_tfsm_draw_does_not_depend_on_n_draws():
+    igrid = GridSpec([(-120.0, 1.0)], [512])
+    a = tfsm_synthesis(0.7, 1.5, 0.3, [0.5, 1.0], igrid, 9, n_draws=3)
+    b = tfsm_synthesis(0.7, 1.5, 0.3, [0.5, 1.0], igrid, 9, n_draws=5)
+    np.testing.assert_allclose(a, b[:3], rtol=1e-12, atol=0)
+
+
+def test_ma_draw_does_not_depend_on_n_draws():
+    grid = GridSpec([(0.0, 1.0)], [4])
+    igrid = GridSpec([(-50.0, 51.0)], [1024])
+    a = ma_synthesis(make_ma_spec(), grid, igrid, 3, n_draws=3)
+    b = ma_synthesis(make_ma_spec(), grid, igrid, 3, n_draws=5)
+    for ra, rb in zip(a, b):
+        np.testing.assert_allclose(ra.values, rb.values, rtol=1e-12, atol=0)
+
+
+def test_block_gemm_matches_per_draw_loop(monkeypatch):
+    # two draws per GEMM block: five draws cross two block boundaries
+    igrid = GridSpec([(-60.0, 1.0)], [257])
+    nodes = igrid.midpoints()[:, 0]
+    dvol = igrid.cell_volume
+    monkeypatch.setattr(simulate, "_NOISE_BLOCK_BYTES", 2 * 8 * len(nodes))
+    hurst, alpha, lam = 0.7, 1.5, 0.3
+    times = np.array([0.25, 0.5, 1.0])
+    got = tfsm_synthesis(hurst, alpha, lam, times, igrid, 4, n_draws=5)
+    g = _fast.tfsm_matrix(times, nodes, hurst - 1.0 / alpha, lam)
+    for j in range(5):
+        want = g @ _stream_noise(4, j, len(nodes), alpha, dvol ** (1 / alpha))
+        np.testing.assert_allclose(got[j], want, rtol=1e-12, atol=0)
+    grid = GridSpec([(0.0, 1.0)], [4])
+    spec = make_ma_spec()
+    reals = ma_synthesis(spec, grid, igrid, 6, n_draws=5,
+                         require_coverage=False)
+    g = _fast.ma_matrix_1d(grid.sites()[:, 0], nodes,
+                           spec.exponent.entries[0, 0], spec.lambda_)
+    for j, real in enumerate(reals):
+        # Gaussian N(0, dvol): the alpha = 2 transform over sqrt(2)
+        want = g @ _stream_noise(6, j, len(nodes), 2.0,
+                                 math.sqrt(dvol) / math.sqrt(2.0))
+        np.testing.assert_allclose(real.values[:, 0], want, rtol=1e-12,
+                                   atol=0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -399,3 +400,51 @@ def test_hyp2f1_far_branch_mpmath_oracle(path):
         expect = np.array([float(mpmath.hyp2f1(a, b, c, zi)) for zi in z])
         np.testing.assert_allclose(_HYP_PATHS[path](a, b, c, z), expect,
                                    rtol=1e-12, err_msg=str((a, b, c)))
+
+
+# ---------------------------------------------------------------------------
+# Chambers-Mallows-Stuck and the moving-average kernel matrices
+
+@pytest.mark.parametrize("alpha, rtol", [(2.0, 1e-15), (1.5, 1e-13),
+                                         (0.7, 1e-13)])
+def test_cms_batch_matches_general_expression(alpha, rtol):
+    gen = np.random.default_rng(2)
+    theta = (gen.random(100000) - 0.5) * np.pi
+    w = gen.standard_exponential(100000)
+    s = np.sin(alpha * theta) / np.cos(theta) ** (1.0 / alpha)
+    want = s * (np.cos((1.0 - alpha) * theta) / w) ** ((1.0 - alpha) / alpha)
+    np.testing.assert_allclose(_fast.cms_batch(theta, w, alpha), want,
+                               rtol=rtol, atol=0)
+
+
+def _where_power(r, expo, lam):
+    """r^expo e^{-lam |r|} for r > 0, else 0, as a masked np.where."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r > 0, np.where(r > 0, r, 1.0) ** expo
+                        * np.exp(-lam * np.abs(r)), 0.0)
+
+
+@pytest.mark.parametrize("nu", [-0.3, 0.0, 0.22])
+def test_kernel_matrices_match_where_formula(nu):
+    lam = 0.52
+    # sites -1.5 and 0.25 coincide with nodes (r = 0); a node sits at 0
+    sites = np.array([-1.5, 0.0, 0.25, 3.0])
+    nodes = np.array([-7.75, -1.5, -0.5, 0.0, 0.25, 2.0, 6.5])
+    diff = sites[:, None] - nodes[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ma = _fast.ma_matrix_1d(sites, nodes, nu, lam)
+        tf = _fast.tfsm_matrix(sites, nodes, nu, lam)
+        power = _fast._tempered_power(diff.copy(), nu, lam,
+                                      np.empty_like(diff))
+    want = _where_power(diff, nu, lam)
+    assert np.array_equal(power == 0.0, want == 0.0)
+    np.testing.assert_allclose(power, want, rtol=1e-14, atol=0)
+    for got, v1, v0 in (
+            (ma, _where_power(np.abs(diff), nu, lam),
+             _where_power(np.abs(nodes), nu, lam)[None, :]),
+            (tf, _where_power(diff, nu, lam),
+             _where_power(-nodes, nu, lam)[None, :])):
+        want = v1 - v0
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(v1) + np.abs(v0)))
