@@ -17,7 +17,6 @@ exponent matrix is implied: E for moving-average flavors, E^T for the
 harmonizable flavor.
 """
 
-import json
 import math
 
 import numpy as np
@@ -217,9 +216,6 @@ class FieldSpec:
                     "rho": getattr(self.phi, "rho", None)},
             "measure": self.measure.to_json(),
         }
-
-    def to_json_str(self):
-        return json.dumps(self.to_json(), sort_keys=True)
 
     @classmethod
     def from_json(cls, doc):

@@ -116,9 +116,7 @@ def integrate_decaying(f, a, rtol=1e-10, atol=1e-13, first_width=1.0,
     last block and (if supplied) the analytic ``tail_bound(R)`` drop below
     tolerance.
     """
-    total = None
-    lo = a
-    width = first_width
+    total, lo, width = None, a, first_width
     for _ in range(max_blocks):
         hi = lo + width
         val, _ = adaptive_gk(f, lo, hi, rtol=rtol * 0.1, atol=atol * 0.1)
@@ -130,7 +128,9 @@ def integrate_decaying(f, a, rtol=1e-10, atol=1e-13, first_width=1.0,
             return total
         lo = hi
         width *= growth
-    raise QuadratureError("integrate_decaying: tail did not converge")
+    raise QuadratureError(
+        f"integrate_decaying: {max_blocks} blocks to R = {hi:.3e}, last block "
+        f"{block:.3e}, tail bound {bound:.3e} above tolerance {scale:.3e}")
 
 
 def gauss_legendre(n):
@@ -177,9 +177,7 @@ def oscillatory_tail(f, edges_iter, rtol=1e-10, atol=1e-14, n_gl=16,
     estimate.
     """
     x0, w0 = gauss_legendre(n_gl)
-    terms = []
-    prev = None
-    streak = 0
+    terms, prev, streak = [], None, 0
     for edge in edges_iter:
         if prev is None:
             prev = edge
@@ -199,6 +197,7 @@ def oscillatory_tail(f, edges_iter, rtol=1e-10, atol=1e-14, n_gl=16,
                 return total, err
         if len(terms) >= max_panels:
             break
+    err, scale = math.inf, atol
     if terms:
         w = min(len(terms), window)
         prefix = float(np.sum(terms[:-w]))
@@ -207,4 +206,6 @@ def oscillatory_tail(f, edges_iter, rtol=1e-10, atol=1e-14, n_gl=16,
         scale = max(atol, rtol * max(abs(total), 1e-300))
         if err < 100 * scale:
             return total, err
-    raise QuadratureError("oscillatory_tail: acceleration did not converge")
+    raise QuadratureError(
+        f"oscillatory_tail: {len(terms)} panels, error estimate {err:.3e} "
+        f"above tolerance {100 * scale:.3e}")

@@ -4,9 +4,9 @@ and moving-average Riemann sums driven by Gaussian or SaS noise.
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id), so draws are reproducible and order-independent:
 stream j feeds the noise of draw j, whatever the number of draws.
-Moving-average fields and tempered fractional stable motion (its
-one-sided 1-d case) share one Riemann-sum engine, one GEMM per block of
-draws.
+Every method multiplies one dense real matrix (Cholesky factor, phase
+matrix or moving-average kernel matrix) by per-draw noise columns; one
+engine, ``_draw_products``, runs them all, one GEMM per block of draws.
 
 Realizations persist in a small binary container: magic ``TRF1``, a
 little-endian uint32 header length, a UTF-8 JSON header, then the
@@ -230,18 +230,15 @@ def gaussian_exact_many(cov_model, grid, seed, n_draws):
         raise SimulationError(
             f"{grid.n_sites} sites exceeds exact-synthesis cap "
             f"{EXACT_SITE_CAP}")
-    sites = grid.sites()
-    gram = cov_model.gram(sites, check_psd=False)
+    gram = cov_model.gram(grid.sites(), check_psd=False)
     chol, jitter = _factor_gram(gram, grid.n_sites)
-    out = []
+    vals = _draw_products(chol, lambda gen: gen.standard_normal(len(chol)),
+                          seed, n_draws)
     meta = {"method": "gaussian_exact", "seed": int(seed),
             "spec": cov_model.spec.to_json(), "grid": grid.to_json(),
             "jitter": jitter}
-    for j in range(n_draws):
-        z = philox_stream(seed, j).standard_normal(gram.shape[0])
-        vals = (chol @ z).reshape(grid.n_sites, n)
-        out.append(Realization(grid, vals, {**meta, "draw": j}))
-    return out
+    return [Realization(grid, vals[:, j, 0].reshape(grid.n_sites, n),
+                        {**meta, "draw": j}) for j in range(n_draws)]
 
 
 def gaussian_exact(cov_model, grid, seed):
@@ -278,45 +275,45 @@ def spectral_tail_cutoff(p_decay, lam, d, tail_mass=1e-4):
 
 
 def spectral_synthesis(spec, grid, seed, n_draws=1, freq=None,
-                       count_per_axis=512, imag_tol=1e-10):
+                       count_per_axis=512):
     """Hermitian-symmetric Riemann-sum synthesis of a harmonizable field.
 
     ``spec`` is an IsotropicGaussianSpec or a Gaussian FieldSpec of
     flavor H.  ``freq`` overrides the (half-grid, cell_volume) pair;
     by default a dyadic cutoff from the density's power-law tail is used.
+
+    Draw j takes z from stream j and c(xi) = sqrt(dv) A(xi) z on the half
+    grid, c(-xi) = conj c(xi).  Its sum over +-xi is 2 Re sum (e^{-i<x,xi>}
+    - 1) c over the half grid, computed as the real product
+    [cos<x,xi> - 1 | sin<x,xi>] @ [2 Re c; 2 Im c].
     """
     density, n, p_decay, lam = _spectral_density_for(spec)
-    d = grid.d
     if freq is None:
-        xi_max = spectral_tail_cutoff(p_decay, lam, d)
-        xi_half, dvol = symmetric_freq_grid(xi_max, count_per_axis, d)
+        xi_max = spectral_tail_cutoff(p_decay, lam, grid.d)
+        xi_half, dvol = symmetric_freq_grid(xi_max, count_per_axis, grid.d)
     else:
         xi_half, dvol = freq
         xi_half = np.atleast_2d(np.asarray(xi_half, dtype=float))
     amp = density(xi_half)                      # (M, n, n)
-    sites = grid.sites()
-    # real product first, then in place: one (N, M) complex array, no
-    # complex matmul
-    phase = -1j * (sites @ xi_half.T)                  # (N, M)
-    np.exp(phase, out=phase)
-    phase -= 1.0
-    sqdv = math.sqrt(dvol)
-    out = []
+    m = xi_half.shape[0]
+    phase = np.empty((2 * m, grid.n_sites))    # transposed: <x,xi> in place
+    np.matmul(xi_half, grid.sites().T, out=phase[m:])
+    np.cos(phase[m:], out=phase[:m])
+    phase[:m] -= 1.0
+    np.sin(phase[m:], out=phase[m:])
+
+    def draw_noise(gen):
+        g = gen.standard_normal((m, n, 2))
+        z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)   # (M, n)
+        coef = np.einsum("mij,mj->mi", amp, z)
+        return np.concatenate([coef.real, coef.imag]) * (2 * math.sqrt(dvol))
+
+    vals = _draw_products(phase.T, draw_noise, seed, n_draws, n)
     meta = {"method": "spectral_synthesis", "seed": int(seed),
             "spec": spec.to_json(), "grid": grid.to_json(),
-            "freq_points": int(xi_half.shape[0]), "cell_volume": dvol}
-    for j in range(n_draws):
-        gen = philox_stream(seed, j)
-        g = gen.standard_normal((xi_half.shape[0], n, 2))
-        z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)   # (M, n)
-        coef = np.einsum("mij,mj->mi", amp, z) * sqdv       # (M, n)
-        total = phase @ coef + np.conj(phase) @ np.conj(coef)
-        resid = float(np.max(np.abs(total.imag)))
-        scale = max(float(np.max(np.abs(total.real))), 1e-300)
-        if resid > imag_tol * scale:
-            raise SimulationToleranceError(
-                f"Hermitian symmetry violated: imag residue {resid:.2e}")
-        out.append(Realization(grid, total.real, {**meta, "draw": j}))
+            "freq_points": int(m), "cell_volume": dvol}
+    out = [Realization(grid, vals[:, j], {**meta, "draw": j})
+           for j in range(n_draws)]
     return out if n_draws > 1 else out[0]
 
 
@@ -352,33 +349,36 @@ def _spectral_density_for(spec):
 
 # ---------------------------------------------------------------------------
 
-def _measure_increments(measure, dvol, gen, m_nodes):
-    """Noise increments per cell of the first measure coordinate: Gaussian
-    N(0, dvol) (the alpha = 2 CMS transform over sqrt(2)) or SaS with
-    scale dvol^{1/alpha}."""
+def _measure_noise(measure, dvol, m_nodes):
+    """Per-draw noise increments per cell of the first measure coordinate:
+    Gaussian N(0, dvol) (the alpha = 2 CMS transform over sqrt(2)) or SaS
+    with scale dvol^{1/alpha}."""
     if measure.variant == "gaussian":
-        return _cms_noise(gen, 2.0, m_nodes) * math.sqrt(dvol) / math.sqrt(2.0)
+        return lambda gen: (_cms_noise(gen, 2.0, m_nodes) * math.sqrt(dvol)
+                            / math.sqrt(2.0))
     alpha = measure.alphas[0]
-    return _cms_noise(gen, alpha, m_nodes) * dvol ** (1.0 / alpha)
+    return lambda gen: _cms_noise(gen, alpha, m_nodes) * dvol ** (1.0 / alpha)
 
 
-def _riemann_sums(g, measure, dvol, seed, n_draws):
-    """(rows, n_draws) Riemann sums g @ dm_j, dm_j drawn from stream j.
+def _draw_products(g, draw_noise, seed, n_draws, k=1):
+    """(rows, n_draws, k) products g @ draw_noise(philox_stream(seed, j)).
 
-    Noise is drawn one draw at a time (whole-block CMS temporaries leave
-    the cache) into a ``_NOISE_BLOCK_BYTES`` matrix; one GEMM per block of
-    draws reads ``g`` once for all of them.
+    ``draw_noise`` returns draw j's (m, k) noise columns.  Noise is drawn
+    one draw at a time (whole-block temporaries leave the cache) into a
+    ``_NOISE_BLOCK_BYTES`` matrix; one GEMM per block of draws reads ``g``
+    once for all of them.
     """
-    m = g.shape[1]
-    block = max(1, min(n_draws, _NOISE_BLOCK_BYTES // (8 * m)))
-    dm = np.empty((block, m))
-    out = np.empty((g.shape[0], n_draws))
+    rows, m = g.shape
+    block = max(1, min(n_draws, _NOISE_BLOCK_BYTES // (8 * m * k)))
+    dm = np.empty((block, k, m))
+    out = np.empty((rows, n_draws, k))
     for start in range(0, n_draws, block):
         take = min(block, n_draws - start)
         for i in range(take):
-            dm[i] = _measure_increments(
-                measure, dvol, philox_stream(seed, start + i), m)
-        out[:, start:start + take] = g @ dm[:take].T
+            noise = draw_noise(philox_stream(seed, start + i))
+            dm[i] = np.reshape(noise, (m, k)).T
+        out[:, start:start + take] = (
+            g @ dm[:take].reshape(take * k, m).T).reshape(rows, take, k)
     return out
 
 
@@ -484,8 +484,8 @@ def ma_synthesis(spec, grid, integration_grid, seed, n_draws=1,
             f"integration grid covers only {margin:.2f} of the tempering "
             "radius; enlarge it or pass require_coverage=False")
     g = _ma_kernel_matrix(spec, grid.sites(), integration_grid.midpoints())
-    sums = _riemann_sums(g, spec.measure, integration_grid.cell_volume,
-                         seed, n_draws)
+    sums = _draw_products(g, _measure_noise(
+        spec.measure, integration_grid.cell_volume, g.shape[1]), seed, n_draws)
     meta = {"method": "ma_synthesis", "seed": int(seed),
             "spec": spec.to_json(), "grid": grid.to_json(),
             "integration_grid": integration_grid.to_json(),
@@ -507,5 +507,6 @@ def tfsm_synthesis(hurst, alpha, lam, times, integration_grid, seed,
     g = _fast.tfsm_matrix(np.atleast_1d(times),
                           integration_grid.midpoints()[:, 0],
                           hurst - 1.0 / alpha, lam)
-    return _riemann_sums(g, MeasureSpec("sas", alphas=[alpha]),
-                         integration_grid.cell_volume, seed, n_draws).T
+    noise = _measure_noise(MeasureSpec("sas", alphas=[alpha]),
+                           integration_grid.cell_volume, g.shape[1])
+    return _draw_products(g, noise, seed, n_draws)[:, :, 0].T

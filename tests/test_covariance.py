@@ -14,7 +14,8 @@ from trfield.covariance import (CovarianceError, CovarianceModel,
                                 itofbf_cov, itofbf_cov_spectral, itofbf_cx2,
                                 itofbf_spectral_density, itofbf_variance,
                                 tfbm_cov, tfbm_variogram)
-from trfield.quadrature import adaptive_gk, integrate_decaying
+from trfield.quadrature import (QuadratureError, adaptive_gk,
+                                integrate_decaying)
 from trfield.specfun import gamma_fn, hyp2f1
 
 
@@ -586,3 +587,14 @@ def test_spectral_densities_accept_frequency_arrays():
             single = fn(spec, row)
             assert single.shape == (2, 2)
             assert np.allclose(amp, single, rtol=1e-13, atol=0.0)
+
+
+def test_spectral_integral_d2_small_h_failure_names_tolerance():
+    # p_decay - d = 2h is small at d = 2, h = 0.05: the radial tail of
+    # integrate_decaying does not converge within its block budget
+    spec = IsotropicGaussianSpec("ITOFBF", 2, 1, 0.52, [[0.05]])
+    model = CovarianceModel(spec, method="spectral_integral")
+    with pytest.raises(QuadratureError,
+                       match=r"integrate_decaying: \d+ blocks.*above "
+                             r"tolerance \d\.\d{3}e[-+]\d+"):
+        model.gram(np.array([[0.3, 0.1], [0.5, -0.2]]))

@@ -66,3 +66,20 @@ def test_oscillatory_tail_known_cosine_integral():
     val, err = oscillatory_tail(lambda x: np.cos(x) / (1 + x * x),
                                 np.concatenate([[0.0], edges]), rtol=1e-11)
     assert abs(val - math.pi / (2 * math.e)) < 1e-10
+
+
+def test_integrate_decaying_failure_names_tolerance():
+    # 1/(1+x) is not integrable: every block adds about log(growth)
+    with pytest.raises(QuadratureError,
+                       match=r"5 blocks to R = .*last block .*tail bound "
+                             r".*above tolerance \d\.\d{3}e[-+]\d+"):
+        integrate_decaying(lambda x: 1.0 / (1.0 + x), 0.0, max_blocks=5)
+
+
+def test_oscillatory_tail_failure_names_tolerance():
+    # a constant integrand gives a divergent, non-alternating panel series
+    edges = np.arange(41.0)
+    with pytest.raises(QuadratureError,
+                       match=r"40 panels, error estimate .* above tolerance "
+                             r"\d\.\d{3}e[-+]\d+"):
+        oscillatory_tail(np.ones_like, edges, max_panels=40)

@@ -474,3 +474,131 @@ def test_block_gemm_matches_per_draw_loop(monkeypatch):
                                  math.sqrt(dvol) / math.sqrt(2.0))
         np.testing.assert_allclose(real.values[:, 0], want, rtol=1e-12,
                                    atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the draw engine behind spectral and exact synthesis
+
+def _fh_spec_d2_n2():
+    return FieldSpec("H", 2, 2, 0.8, np.eye(2), [[0.6, 0.1], [0.0, 0.7]],
+                     EHomogeneousFn("euclidean", np.eye(2)),
+                     MeasureSpec("gaussian", n=2))
+
+
+def _spectral_cases():
+    return {
+        "itofbf_d1": (IsotropicGaussianSpec("ITOFBF", 1, 1, 0.52, [[0.72]]),
+                      GridSpec([(-1.0, 1.0)], [9]),
+                      symmetric_freq_grid(40.0, 64, 1)),
+        "fh_d2_n2": (_fh_spec_d2_n2(), GridSpec([(-1.0, 1.0), (0.0, 1.0)],
+                                                [3, 4]),
+                     symmetric_freq_grid(12.0, 6, 2)),
+    }
+
+
+def _stream_z(seed, j, m, n):
+    """Draw j's complex coefficients as documented: stream j, (M, n, 2)."""
+    g = philox_stream(seed, j).standard_normal((m, n, 2))
+    return (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
+
+
+def _assert_rel(got, want, rtol=1e-12):
+    scale = float(np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= rtol * scale
+
+
+@pytest.mark.parametrize("case", ["itofbf_d1", "fh_d2_n2"])
+def test_spectral_equals_full_grid_complex_sum(case):
+    # the sum over +-xi with z(-xi) = conj z(xi), written out in complex
+    # arithmetic: it is real, and the synthesis computes its real part
+    spec, grid, (half, dvol) = _spectral_cases()[case]
+    density = simulate._spectral_density_for(spec)[0]
+    m, n = half.shape[0], spec.n
+    xi = np.concatenate([half, -half])
+    amp = np.concatenate([density(half), density(-half)])
+    phase = np.exp(-1j * (grid.sites() @ xi.T)) - 1.0
+    reals = spectral_synthesis(spec, grid, 8, n_draws=3, freq=(half, dvol))
+    for j, real in enumerate(reals):
+        z = _stream_z(8, j, m, n)
+        z = np.concatenate([z, np.conj(z)])
+        total = phase @ (np.einsum("mij,mj->mi", amp, z) * math.sqrt(dvol))
+        _assert_rel(real.values, total.real)
+        assert np.max(np.abs(total.imag)) <= 1e-12 * np.max(np.abs(total))
+
+
+def _parent_spectral(spec, grid, seed, n_draws, half, dvol):
+    """Per-draw complex phase @ coef + its conjugate."""
+    amp = simulate._spectral_density_for(spec)[0](half)
+    phase = np.exp(-1j * (grid.sites() @ half.T)) - 1.0
+    out = []
+    for j in range(n_draws):
+        coef = np.einsum("mij,mj->mi", amp,
+                         _stream_z(seed, j, half.shape[0], spec.n))
+        coef *= math.sqrt(dvol)
+        out.append((phase @ coef + np.conj(phase) @ np.conj(coef)).real)
+    return out
+
+
+def _ib_n2_model():
+    spec = IsotropicGaussianSpec("IBTOFBF", 1, 2, 0.5,
+                                 [[0.7, 0.1], [0.0, 0.6]])
+    return CovarianceModel(spec), GridSpec([(-1.0, 1.0)], [7])
+
+
+@pytest.mark.parametrize("case", ["spectral_n1", "spectral_n2", "exact_n2"])
+def test_draw_engine_matches_per_draw_loop(case, monkeypatch):
+    # two draws per GEMM block: five draws cross two block boundaries
+    if case == "exact_n2":
+        model, grid = _ib_n2_model()
+        rows = grid.n_sites * 2
+        monkeypatch.setattr(simulate, "_NOISE_BLOCK_BYTES", 2 * 8 * rows)
+        reals = gaussian_exact_many(model, grid, 12, 5)
+        gram = model.gram(grid.sites(), check_psd=False)
+        chol, _ = simulate._factor_gram(gram, grid.n_sites)
+        want = [(chol @ philox_stream(12, j).standard_normal(rows))
+                .reshape(grid.n_sites, 2) for j in range(5)]
+    else:
+        spec, grid, (half, dvol) = _spectral_cases()[
+            "itofbf_d1" if case == "spectral_n1" else "fh_d2_n2"]
+        block = 2 * 8 * (2 * half.shape[0]) * spec.n
+        monkeypatch.setattr(simulate, "_NOISE_BLOCK_BYTES", block)
+        reals = spectral_synthesis(spec, grid, 12, n_draws=5,
+                                   freq=(half, dvol))
+        want = _parent_spectral(spec, grid, 12, 5, half, dvol)
+    for real, ref in zip(reals, want):
+        _assert_rel(real.values, ref)
+
+
+def test_spectral_draw_does_not_depend_on_n_draws():
+    spec, grid, freq = _spectral_cases()["fh_d2_n2"]
+    a = spectral_synthesis(spec, grid, 2, n_draws=3, freq=freq)
+    b = spectral_synthesis(spec, grid, 2, n_draws=5, freq=freq)
+    for ra, rb in zip(a, b):
+        np.testing.assert_allclose(ra.values, rb.values, rtol=1e-12, atol=0)
+
+
+def test_exact_draw_does_not_depend_on_n_draws():
+    model, grid = _ib_n2_model()
+    a = gaussian_exact_many(model, grid, 2, 3)
+    b = gaussian_exact_many(model, grid, 2, 5)
+    for ra, rb in zip(a, b):
+        np.testing.assert_allclose(ra.values, rb.values, rtol=1e-12, atol=0)
+
+
+def test_synthesis_provenance_keys():
+    spec, grid, (half, dvol) = _spectral_cases()["fh_d2_n2"]
+    reals = spectral_synthesis(spec, grid, 1, n_draws=2, freq=(half, dvol))
+    for j, real in enumerate(reals):
+        assert sorted(real.provenance) == [
+            "cell_volume", "draw", "freq_points", "grid", "method", "seed",
+            "spec"]
+        assert real.provenance["freq_points"] == half.shape[0]
+        assert real.provenance["cell_volume"] == dvol
+        assert real.provenance["draw"] == j
+    model, grid = _ib_n2_model()
+    reals = gaussian_exact_many(model, grid, 1, 2)
+    for j, real in enumerate(reals):
+        assert sorted(real.provenance) == [
+            "draw", "grid", "jitter", "method", "seed", "spec"]
+        assert real.provenance["jitter"] == 0.0
+        assert real.provenance["draw"] == j
