@@ -6,12 +6,18 @@ integral above), ``hyp2f1_batch`` (Gauss 2F1 for z <= 0),
 closed form 2 sin(theta) sqrt(w)), ``ma_matrix_1d`` and ``tfsm_matrix``
 (moving-average kernel matrices, through the one tempered power
 ``_tempered_power``) and ``box_count`` evaluate their recurrences with
-array masks.  ``trfield.benchmark`` times them all.
+array masks.  The kernel matrices depend on the lag x - y only: when the
+sites and the nodes are arithmetic progressions with commensurate steps,
+``_lag_kernel`` evaluates the kernel once per distinct lag and indexes
+the matrix out of those values; other grids take the dense difference.
+``trfield.benchmark`` times them all, the kernel matrix on both paths.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 # Coefficients of 1/Gamma(1+x) = sum_j A[j] x^j  (Abramowitz & Stegun 6.1.34).
@@ -28,6 +34,7 @@ _RGAMMA_A = np.array([
 ])
 
 _KV_UNDERFLOW_U = 700.0
+_LATTICE_RTOL = 1e-12            # lag-lattice detection, relative to |x|
 _KV_CHUNK = 256
 
 
@@ -254,22 +261,103 @@ def _tempered_power(r, expo, lam, out):
     return out
 
 
-def ma_matrix_1d(sites, nodes, nu, lam):
-    nodes = np.asarray(nodes, dtype=np.float64)
-    r = np.subtract.outer(np.asarray(sites, dtype=np.float64), nodes)
-    out = _tempered_power(np.abs(r, out=r), nu, lam, np.empty_like(r))
-    out -= _tempered_power(np.abs(nodes), nu, lam, np.empty_like(nodes))
+def _progression(x):
+    """(x[0], h) when ``x`` is x[0] + h*arange(n) to within ``_LATTICE_RTOL``
+    of its largest |x|, with a finite nonzero step h; else None."""
+    n = x.shape[0]
+    if n < 2:
+        return None
+    h = (x[-1] - x[0]) / (n - 1)
+    if not (np.isfinite(h) and h != 0.0):
+        return None
+    dev = np.max(np.abs(x - (x[0] + h * np.arange(n))))
+    if not dev <= _LATTICE_RTOL * max(abs(x[0]), abs(x[-1])):
+        return None                  # irregular, or a non-finite entry
+    return x[0], h
+
+
+def _lattice(sites, nodes):
+    """(p, q, step, t0) when every lag sites[i] - nodes[k] is
+    (t - t0) step with t = (m-1)q + ip - kq, for a lattice of at most a
+    quarter of the n m entries; else None.
+
+    Both arrays must be arithmetic progressions whose steps are
+    commensurate, q h_s = p h_y with p, q >= 1, so step = h_y / q.  When
+    a site falls on a lattice point t0 is made an integer, so the
+    coinciding lags are exactly 0.
+    """
+    n, m = sites.shape[0], nodes.shape[0]
+    with np.errstate(all="ignore"):  # non-finite values fail the checks
+        prog_s, prog_y = _progression(sites), _progression(nodes)
+        if prog_s is None or prog_y is None:
+            return None
+        (s0, hs), (y0, hy) = prog_s, prog_y
+        ratio = hs / hy
+        if not (np.isfinite(ratio) and ratio > 0):
+            return None
+        frac = Fraction(ratio).limit_denominator(
+            max(1, n * m // (4 * (m - 1))))
+        p, q = frac.numerator, frac.denominator
+        step = hy / q
+        t0 = (m - 1) * q - (s0 - y0) / step
+        if not (p >= 1 and np.isfinite(t0)
+                and abs(q * hs - p * hy) <= _LATTICE_RTOL * abs(q * hs)
+                and 4 * ((n - 1) * p + (m - 1) * q + 1) <= n * m):
+            return None
+    scale = max(abs(s0), abs(sites[-1]), abs(y0), abs(nodes[-1]))
+    if abs(t0 - round(t0)) * abs(step) <= _LATTICE_RTOL * scale:
+        t0 = round(t0)
+    return p, q, step, t0
+
+
+def _lag_kernel(sites, nodes, fn):
+    """fn(sites[i] - nodes[k]) over (sites, nodes); ``fn`` maps an array
+    of lags to a fresh array of kernel values and may overwrite its input.
+
+    On a lag lattice (``_lattice``) ``fn`` runs once per lattice point and
+    the matrix is a read-only strided view of those values, entry (i, k)
+    at point (m-1)q + ip - kq.  Anything else, including a single site or
+    a non-finite coordinate, takes the dense n x m difference.
+    """
+    lattice = _lattice(sites, nodes)
+    if lattice is None:
+        return fn(np.subtract.outer(sites, nodes))
+    p, q, step, t0 = lattice
+    n, m = sites.shape[0], nodes.shape[0]
+    f = fn((np.arange((n - 1) * p + (m - 1) * q + 1) - t0) * step)
+    return as_strided(f[(m - 1) * q:], (n, m),
+                      (p * f.itemsize, -q * f.itemsize), writeable=False)
+
+
+def _pin(out, node_term, sites):
+    """out - node_term as a contiguous owned array: in place on a dense
+    ``out``; from a read-only lattice view into a fresh array whose rows
+    at a site exactly 0 are set to 0, as the dense difference leaves them
+    (the field is pinned at the origin)."""
+    if out.flags.writeable:
+        return np.subtract(out, node_term, out=out)
+    out = out - node_term
+    out[sites == 0.0] = 0.0
     return out
+
+
+def ma_matrix_1d(sites, nodes, nu, lam):
+    """|x - y|^nu e^{-lam |x - y|} - |y|^nu e^{-lam |y|} over (sites, nodes),
+    with 0^nu := 0."""
+    def kern(r):
+        return _tempered_power(np.abs(r, out=r), nu, lam, np.empty_like(r))
+    sites, nodes = (np.asarray(x, dtype=np.float64) for x in (sites, nodes))
+    return _pin(_lag_kernel(sites, nodes, kern), kern(-nodes), sites)
 
 
 def tfsm_matrix(times, nodes, expo, lam):
-    nodes = np.asarray(nodes, dtype=np.float64)
-    a = np.subtract.outer(np.asarray(times, dtype=np.float64), nodes)
-    out = _tempered_power(np.maximum(a, 0.0, out=a), expo, lam,
-                          np.empty_like(a))
-    out -= _tempered_power(np.maximum(-nodes, 0.0), expo, lam,
-                           np.empty_like(nodes))
-    return out
+    """(t - y)_+^expo e^{-lam (t - y)_+} - (-y)_+^expo e^{-lam (-y)_+} over
+    (times, nodes), with 0^expo := 0."""
+    def kern(a):
+        return _tempered_power(np.maximum(a, 0.0, out=a), expo, lam,
+                               np.empty_like(a))
+    times, nodes = (np.asarray(x, dtype=np.float64) for x in (times, nodes))
+    return _pin(_lag_kernel(times, nodes, kern), kern(-nodes), times)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ def _workloads():
     w = rng.standard_exponential(2000000)
     sites = np.linspace(0.0, 1.0, 512)
     nodes = np.linspace(-40.0, 41.0, 8192)
+    # moving-average Riemann-sum geometry: sites and cell midpoints on one
+    # lattice of step 1/32, so each distinct lag is evaluated once
+    lattice_sites = np.arange(513) / 32 - 4.0
+    lattice_nodes = (np.arange(8192) + 0.5) / 32 - 124.0
     path = np.cumsum(rng.standard_normal(65536))
     path = 4.0 * (path - path.min()) / (path.max() - path.min())
     return [
@@ -37,8 +41,10 @@ def _workloads():
          lambda: _fast.hyp2f1_batch(0.65, 1.15, 0.5, z)),
         ("CMS stable transform (2e6 variates)",
          lambda: _fast.cms_batch(theta, w, 1.5)),
-        ("MA kernel matrix (512 x 8192)",
+        ("MA kernel matrix, dense (512 x 8192)",
          lambda: _fast.ma_matrix_1d(sites, nodes, 0.2, 0.5)),
+        ("MA kernel matrix, lag lattice (513 x 8192)",
+         lambda: _fast.ma_matrix_1d(lattice_sites, lattice_nodes, 0.2, 0.5)),
         ("box count (65536 samples)",
          lambda: _fast.box_count(path, 64, 2.0 ** -6)),
     ]

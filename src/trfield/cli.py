@@ -46,7 +46,7 @@ from .estimate import (EstimateError, box_dimension, directional_holder,
 from .kernels import FieldSpec, KernelError, existence_check
 from .matfun import MatfunError
 from .quadrature import QuadratureError
-from .simulate import (GridSpec, Realization, SimulationError,
+from .simulate import (GridSpec, Realization, SeedError, SimulationError,
                        SimulationToleranceError, gaussian_exact_many,
                        ma_synthesis, sas_truncation_report,
                        spectral_synthesis, tfsm_synthesis)
@@ -371,7 +371,7 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](config, run, args)
     except (SchemaError, KernelError, CovarianceError, EstimateError,
-            AnisoError, MatfunError, SpecfunError) as exc:
+            AnisoError, MatfunError, SpecfunError, SeedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (QuadratureError, SimulationToleranceError) as exc:

@@ -25,7 +25,7 @@ from .covariance import CovarianceError, IsotropicGaussianSpec
 from .kernels import FieldSpec, KernelError, MeasureSpec, existence_check
 
 __all__ = [
-    "SimulationError", "SimulationToleranceError", "GridSpec",
+    "SimulationError", "SimulationToleranceError", "SeedError", "GridSpec",
     "Realization", "philox_stream", "sas_sample", "gaussian_exact",
     "gaussian_exact_many", "spectral_synthesis", "ma_synthesis",
     "tfsm_synthesis", "sas_truncation_report", "truncation_margin",
@@ -45,6 +45,10 @@ class SimulationToleranceError(SimulationError):
     """A numerical tolerance failed during synthesis (the CLI exits 4)."""
 
 
+class SeedError(SimulationError):
+    """A seed outside the unsigned 64-bit range (the CLI exits 2)."""
+
+
 class GridSpec:
     """Regular product grid: per-axis [lo, hi] ranges and point counts."""
 
@@ -55,8 +59,9 @@ class GridSpec:
             raise SimulationError("ranges and counts length mismatch")
         if any(c < 2 for c in self.counts):
             raise SimulationError("point counts must be >= 2")
-        if any(hi <= lo for lo, hi in self.ranges):
-            raise SimulationError("empty grid range")
+        if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi
+                   for lo, hi in self.ranges):
+            raise SimulationError("empty or non-finite grid range")
 
     @property
     def d(self):
@@ -166,7 +171,9 @@ class Realization:
 
 
 def philox_stream(seed, stream_id):
-    """Philox4x64 generator keyed by (seed, stream)."""
+    """Philox4x64 generator keyed by (seed, stream); 0 <= seed < 2^64."""
+    if not 0 <= seed < 2 ** 64:
+        raise SeedError(f"seed {seed} outside the range [0, 2^64)")
     bg = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
     return np.random.Generator(bg)
 

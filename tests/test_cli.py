@@ -288,3 +288,50 @@ def test_manifest_lists_inputs_and_outputs(tmp_path):
     assert len(manifest["inputs"]) == 1
     assert "existence_report.json" in manifest["outputs"]
     assert manifest["version"]
+
+
+TFSM_DOC = {"method": "tfsm", "hurst": 0.7, "alpha": 1.5, "lambda": 0.3,
+            "grid": {"ranges": [[0.0, 1.0]], "counts": [8]},
+            "integration_grid": {"ranges": [[-120.0, 1.0]], "counts": [512]}}
+
+
+@pytest.mark.parametrize("seed", [-3, 2 ** 64])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_simulate_seed_outside_u64_exits_schema(tmp_path, capsys, where,
+                                                seed):
+    if where == "config":
+        code, out = run(tmp_path, "simulate", dict(TFSM_DOC, seed=seed))
+    else:
+        code, out = run(tmp_path, "simulate", TFSM_DOC, "--seed", str(seed))
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "config error" in err and "outside the range [0, 2^64)" in err
+    assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_simulate_seed_at_u64_max_runs(tmp_path, where):
+    seed = 2 ** 64 - 1
+    if where == "config":
+        code, out = run(tmp_path, "simulate", dict(TFSM_DOC, seed=seed))
+    else:
+        code, out = run(tmp_path, "simulate", TFSM_DOC, "--seed", str(seed))
+    assert code == EXIT_OK
+    real = Realization.load(os.path.join(out, "draw_0000.trf"))
+    assert real.provenance["seed"] == seed
+
+
+@pytest.mark.parametrize("lo", [float("nan"), float("-inf")])
+def test_simulate_non_finite_grid_range_refused_before_synthesis(
+        tmp_path, capsys, monkeypatch, lo):
+    from trfield import cli
+
+    def synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran on a non-finite grid")
+
+    monkeypatch.setattr(cli, "tfsm_synthesis", synthesis)
+    doc = dict(TFSM_DOC, seed=1, grid={"ranges": [[lo, 1.0]], "counts": [8]})
+    code, out = run(tmp_path, "simulate", doc)
+    assert code == EXIT_EXISTENCE
+    assert "empty or non-finite grid range" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "draw_0000.trf"))

@@ -448,3 +448,146 @@ def test_kernel_matrices_match_where_formula(nu):
         want = v1 - v0
         assert np.array_equal(got == 0.0, want == 0.0)
         assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(v1) + np.abs(v0)))
+
+
+# ---------------------------------------------------------------------------
+# Lag-lattice kernel matrices
+
+
+def _dense_matrices(sites, nodes, nu, lam):
+    """The MA and TFSM kernel matrices through a dense difference matrix."""
+    diff = np.subtract.outer(sites, nodes)
+    tp = _fast._tempered_power
+    ma = (tp(np.abs(diff), nu, lam, np.empty_like(diff))
+          - tp(np.abs(nodes), nu, lam, np.empty_like(nodes)))
+    tf = (tp(np.maximum(diff, 0.0), nu, lam, np.empty_like(diff))
+          - tp(np.maximum(-nodes, 0.0), nu, lam, np.empty_like(nodes)))
+    return ma, tf
+
+
+def _lag_path(sites, nodes):
+    """'lattice' or 'dense': the path of ``_lag_kernel``, read from the
+    rank of the lags its kernel receives."""
+    ranks = []
+
+    def fn(r):
+        ranks.append(r.ndim)
+        return r.copy()
+
+    _fast._lag_kernel(np.asarray(sites, dtype=float),
+                      np.asarray(nodes, dtype=float), fn)
+    return {1: "lattice", 2: "dense"}[ranks[0]]
+
+
+def _kernel_matrices(sites, nodes, nu, lam=0.52):
+    """(ma, tfsm, dense ma, dense tfsm), with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (_fast.ma_matrix_1d(sites, nodes, nu, lam),
+                _fast.tfsm_matrix(sites, nodes, nu, lam),
+                *_dense_matrices(sites, nodes, nu, lam))
+
+
+# (sites, nodes) with dyadic steps: ratio h_s / h_y, node midpoints or
+# lattice points; "straddle" grids have sites inside and outside the nodes
+_DYADIC_GRIDS = {
+    "ratio1": (np.arange(129) / 32 - 2.0, (np.arange(384) + 0.5) / 32 - 6.0),
+    "ratio1_straddle": (np.arange(129) / 32 - 2.0,
+                        (np.arange(64) + 0.5) / 32 - 1.0),
+    "ratio2": (np.arange(65) / 16 - 2.0, (np.arange(384) + 0.5) / 32 - 6.0),
+    "ratio2_on_nodes": (np.arange(65) / 16 - 2.0, np.arange(384) / 32 - 6.0),
+    "ratio32_17_straddle": (np.arange(129) / 32 - 1.0,
+                            (np.arange(1024) + 0.5) * 17 / 1024 + 1.0),
+    "ratio32_17_on_nodes": (np.arange(129) / 32 - 1.0,
+                            np.arange(1024) * 17 / 1024 + 1.0),
+}
+
+
+@pytest.mark.parametrize("nu", [-0.3, 0.0, 0.22])
+@pytest.mark.parametrize("grid", sorted(_DYADIC_GRIDS))
+def test_lattice_kernel_matrices_equal_dense_formula_on_dyadic_grids(grid,
+                                                                     nu):
+    sites, nodes = _DYADIC_GRIDS[grid]
+    assert _lag_path(sites, nodes) == "lattice"
+    ma, tf, ma_dense, tf_dense = _kernel_matrices(sites, nodes, nu)
+    assert np.array_equal(ma, ma_dense)
+    assert np.array_equal(tf, tf_dense)
+    for got in (ma, tf):            # what the draw GEMM receives
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.flags.owndata
+
+
+def _midpoints(lo, hi, count):
+    """Cell midpoints as ``GridSpec.midpoints`` computes them."""
+    return lo + (np.arange(count - 1) + 0.5) * (hi - lo) / (count - 1)
+
+
+@pytest.mark.parametrize("nu", [-0.3, 0.0, 0.22])
+@pytest.mark.parametrize("sites, nodes", [
+    (np.linspace(0.0, 2.0, 21), _midpoints(-3.0, 4.0, 141)),    # 0.1 / 0.05
+    (np.linspace(-0.6, 2.4, 11), _midpoints(-4.0, 5.0, 91)),    # 0.3 / 0.1
+], ids=["steps_0.1_0.05", "steps_0.3_0.1"])
+def test_lattice_kernel_matrices_match_dense_on_decimal_grids(sites, nodes,
+                                                              nu):
+    assert _lag_path(sites, nodes) == "lattice"
+    ma, tf, ma_dense, tf_dense = _kernel_matrices(sites, nodes, nu)
+    for got, want in ((ma, ma_dense), (tf, tf_dense)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the row of a site at exactly 0 is exactly 0, as in the dense one
+        assert np.all(got[sites == 0.0] == 0.0)
+        assert np.all(want[sites == 0.0] == 0.0)
+
+
+def test_lattice_lags_vanish_exactly_where_sites_meet_nodes():
+    nu, lam = -0.3, 0.52
+    sites = np.linspace(0.7, 2.7, 21)           # step 0.1
+    nodes = np.linspace(-2.9, 4.1, 141)         # step 0.05, through every site
+    assert _lag_path(sites, nodes) == "lattice"
+    ma, tf, ma_dense, tf_dense = _kernel_matrices(sites, nodes, nu, lam)
+    meet = np.abs(np.subtract.outer(sites, nodes)) < 1e-9
+    assert meet.sum() == sites.size
+    # the kernel term is exactly 0 there, leaving minus the node term
+    tp = _fast._tempered_power
+    ma_node = tp(np.abs(nodes), nu, lam, np.empty_like(nodes))
+    tf_node = tp(np.maximum(-nodes, 0.0), nu, lam, np.empty_like(nodes))
+    for got, want, node in ((ma, ma_dense, ma_node), (tf, tf_dense, tf_node)):
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got[meet],
+                              -np.broadcast_to(node, got.shape)[meet])
+        off = ~meet
+        assert (np.max(np.abs(got[off] - want[off]))
+                <= 1e-12 * np.max(np.abs(want[off])))
+
+
+_IRREGULAR = np.arange(64) / 8 - 4.0
+_IRREGULAR[10] += 0.01
+
+
+@pytest.mark.parametrize("sites, nodes", [
+    (np.arange(33) / 32, _IRREGULAR),                        # irregular nodes
+    (np.array([0.25]), (np.arange(64) + 0.5) / 8 - 4.0),     # one site
+    (np.arange(4) / 8, (np.arange(64) + 0.5) / 8 - 4.0),     # 67 > 4 * 64 / 4
+    (np.arange(33) * math.sqrt(2.0) / 32,                    # irrational ratio
+     (np.arange(64) + 0.5) / 32 - 1.0),
+    (np.arange(33) * (1.0 + 1e-9) / 32,                      # ratio 1 + 1e-9
+     (np.arange(64) + 0.5) / 32 - 1.0),
+], ids=["irregular", "one_site", "long_lattice", "irrational",
+        "near_commensurate"])
+def test_kernel_matrices_off_lattice_take_dense_path(sites, nodes):
+    assert _lag_path(sites, nodes) == "dense"
+    for nu in (-0.3, 0.22):
+        ma, tf, ma_dense, tf_dense = _kernel_matrices(sites, nodes, nu)
+        assert np.array_equal(ma, ma_dense)
+        assert np.array_equal(tf, tf_dense)
+
+
+@pytest.mark.parametrize("sites, nodes", [
+    (np.arange(8) / 8, np.array([0.0, 0.5, np.nan, 1.5, 2.0])),   # NaN node
+    (np.array([np.nan, 0.5, 1.0]), np.arange(8) / 8),             # NaN start
+    (np.array([0.0, 1e300, 2e300]), np.arange(8) * 1e-10),        # ratio inf
+    (np.full(8, 0.5), np.arange(8) / 8),                          # zero step
+], ids=["nan_node", "nan_start", "ratio_overflow", "zero_step"])
+def test_lag_lattice_detector_refuses_degenerate_grids(sites, nodes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _lag_path(sites, nodes) == "dense"
