@@ -1,15 +1,17 @@
 """Hot numeric kernels, one numpy implementation each.
 
-``kv_batch`` (K_nu: a Temme series for u <= 2, a trapezoidal cosh
-integral above), ``hyp2f1_batch`` (Gauss 2F1 for z <= 0),
-``cms_batch`` (Chambers-Mallows-Stuck variates; at alpha = 2 the exact
-closed form 2 sin(theta) sqrt(w)), ``ma_matrix_1d`` and ``tfsm_matrix``
-(moving-average kernel matrices, through the one tempered power
-``_tempered_power``) and ``box_count`` evaluate their recurrences with
-array masks.  The kernel matrices depend on the lag x - y only: when the
-sites and the nodes are arithmetic progressions with commensurate steps,
-``_lag_kernel`` evaluates the kernel once per distinct lag and indexes
-the matrix out of those values; other grids take the dense difference.
+``kv_batch`` (K_nu: a Temme series for u <= 2, above it ``_cosh_rule``,
+the trapezoidal rule on the cosh integral that also serves the order
+derivatives and the matrix-order K_N of ``matfun``), ``hyp2f1_batch``
+(Gauss 2F1 for z <= 0), ``cms_batch`` (Chambers-Mallows-Stuck variates;
+at alpha = 2 the exact closed form 2 sin(theta) sqrt(w)),
+``ma_matrix_1d`` and ``tfsm_matrix`` (moving-average kernel matrices,
+through the one tempered power ``_tempered_power``) and ``box_count``
+evaluate their recurrences with array masks.  The kernel matrices depend
+on the lag x - y only: when the sites and the nodes are arithmetic
+progressions with commensurate steps, ``_lag_kernel`` evaluates the
+kernel once per distinct lag and indexes the matrix out of those values;
+other grids take the dense difference.
 ``trfield.benchmark`` times them all, the kernel matrix on both paths.
 """
 
@@ -102,31 +104,38 @@ def _kv_series(nu, x):
     return k1
 
 
-def _kv_trapezoid(nu, u):
-    """K_nu(u) for u > 2 by the trapezoidal rule on the cosh integral.
+def _cosh_rule(u):
+    """(t, w), each (len(u), K): the trapezoidal rule for the cosh integral
+    int_0^inf e^{-u cosh t} f(t) dt ~ sum_k w[:, k] f(t[:, k]) behind K_nu,
+    its order derivatives and the matrix order K_N; 1-d u in
+    (0, ``_KV_UNDERFLOW_U``].
 
-    K_nu(u) = e^{-u} int_0^T exp(-2u sinh^2(t/2)) cosh(nu t) dt with
-    T = acosh(745/u), beyond which e^{-u cosh t} underflows.  The
-    integrand is even and entire, so the rule with the half weight at
-    t = 0 converges exponentially (Trefethen & Weideman, SIAM Rev. 2014);
-    its width near t = 0 is about u^{-1/2}, hence the step
-    h = min(0.15, 0.6/sqrt(u)) and at most 48 nodes per argument (the cap
-    keeps the error near 1e-15 relative up to nu = 8, against mpmath).
-    Factoring out e^{-u} keeps the exponent small near the peak, so the
-    rounding of u cosh t does not cost u ulps.  Arguments are processed in
-    chunks of ``_KV_CHUNK`` to bound the (chunk, nodes) temporaries.
+    Nodes t = k h run to acosh(745/u), where e^{-u cosh t} underflows;
+    weights are h e^{-u} exp(-2u sinh^2(t/2)), half at t = 0 (the separate
+    e^{-u} spares the exponent u ulps of rounding).  The integrand is even
+    and entire, so the rule converges exponentially (Trefethen & Weideman,
+    SIAM Rev. 2014); its width near 0 is about u^{-1/2}, hence the step
+    min(0.15, 0.6/sqrt(u)): at most 48 nodes above u = 2, about 66 at 0.1.
+    Rows share the longest row's nodes; past its own end a row's weights
+    are below h e^{-745}.
     """
+    h = np.minimum(0.15, 0.6 / np.sqrt(u))
+    k = np.arange(int(np.ceil(np.max(np.arccosh(745.0 / u) / h))) + 1)
+    t = h[:, None] * k
+    w = np.exp(-2.0 * u[:, None] * np.sinh(0.5 * t) ** 2)
+    w *= (h * np.exp(-u))[:, None]
+    w[:, 0] *= 0.5
+    return t, w
+
+
+def _kv_trapezoid(nu, u):
+    """K_nu(u) = sum_k w_k cosh(nu t_k) on the ``_cosh_rule`` nodes, in
+    chunks of ``_KV_CHUNK`` arguments to bound the (chunk, nodes)
+    temporaries."""
     out = np.empty_like(u)
     for start in range(0, u.shape[0], _KV_CHUNK):
-        uc = u[start:start + _KV_CHUNK]
-        h = np.minimum(0.15, 0.6 / np.sqrt(uc))
-        t_max = np.arccosh(745.0 / uc)
-        k = np.arange(int(np.ceil(np.max(t_max / h))) + 1)
-        t = h[:, None] * k[None, :]
-        core = -2.0 * uc[:, None] * np.sinh(0.5 * t) ** 2
-        v = 0.5 * (np.exp(core + nu * t) + np.exp(core - nu * t))
-        v[:, 0] *= 0.5
-        out[start:start + _KV_CHUNK] = np.exp(-uc) * h * np.sum(v, axis=1)
+        t, w = _cosh_rule(u[start:start + _KV_CHUNK])
+        out[start:start + _KV_CHUNK] = np.sum(w * np.cosh(nu * t), axis=1)
     return out
 
 

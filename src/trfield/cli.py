@@ -46,10 +46,11 @@ from .estimate import (EstimateError, box_dimension, directional_holder,
 from .kernels import FieldSpec, KernelError, existence_check
 from .matfun import MatfunError
 from .quadrature import QuadratureError
-from .simulate import (GridSpec, Realization, SeedError, SimulationError,
-                       SimulationToleranceError, gaussian_exact_many,
-                       ma_synthesis, sas_truncation_report,
-                       spectral_synthesis, tfsm_synthesis)
+from .simulate import (GridSpec, Realization, SimulationConfigError,
+                       SimulationError, SimulationToleranceError,
+                       _check_seed, gaussian_exact_many, ma_synthesis,
+                       sas_truncation_report, spectral_synthesis,
+                       tfsm_synthesis)
 from .specfun import SpecfunError
 
 EXIT_OK = 0
@@ -79,6 +80,15 @@ def _require(doc, key, where="config"):
     if key not in doc:
         raise SchemaError(f"{where}: missing required field '{key}'")
     return doc[key]
+
+
+def _integer(value, name, low=None):
+    """``value`` if it is a JSON integer (not a bool, float or string) of at
+    least ``low``; else SchemaError."""
+    if type(value) is not int or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise SchemaError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
 
 
 def _sha256_bytes(blob):
@@ -179,22 +189,23 @@ def _cmd_simulate(config, run, args):
     seed = config.get("seed", args.seed)
     if seed is None:
         raise SchemaError("simulate: a seed is mandatory")
-    seed = int(seed)
+    seed = _check_seed(_integer(seed, "simulate: seed"))
     method = _require(config, "method")
-    n_draws = int(config.get("n_draws", 1))
+    n_draws = _integer(config.get("n_draws", 1), "simulate: n_draws", 1)
     grid = GridSpec.from_json(_require(config, "grid"))
     if method == "gaussian_exact":
         model = _load_cov_model(_require(config, "spec"))
         reals = gaussian_exact_many(model, grid, seed, n_draws)
     elif method == "spectral":
+        count = _integer(config.get("freq_count", 512),
+                         "simulate: freq_count", 2)
         spec_doc = _require(config, "spec")
         if "flavor" in spec_doc:
             spec = FieldSpec.from_json(spec_doc)
         else:
             spec = IsotropicGaussianSpec.from_json(spec_doc)
-        reals = spectral_synthesis(
-            spec, grid, seed, n_draws=n_draws,
-            count_per_axis=int(config.get("freq_count", 512)))
+        reals = spectral_synthesis(spec, grid, seed, n_draws=n_draws,
+                                   count_per_axis=count)
         if n_draws == 1:
             reals = [reals]
     elif method == "ma":
@@ -371,7 +382,8 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](config, run, args)
     except (SchemaError, KernelError, CovarianceError, EstimateError,
-            AnisoError, MatfunError, SpecfunError, SeedError) as exc:
+            AnisoError, MatfunError, SpecfunError,
+            SimulationConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (QuadratureError, SimulationToleranceError) as exc:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .quadrature import adaptive_gk, gauss_legendre
+from . import _fast
 from .specfun import SpecfunError, digamma, gamma_fn
 
 __all__ = [
@@ -37,13 +37,13 @@ _PADE13_B = (
 
 
 def expm(a):
-    """Matrix exponential by Pade-13 scaling and squaring."""
+    """Matrix exponential by Pade-13 scaling and squaring over the last two
+    axes: each (n, n) slice of a stack takes its own scaling, as alone."""
     a = np.asarray(a)
-    norm = np.linalg.norm(a, 1)
-    s = max(0, int(math.ceil(math.log2(norm / 4.25))) if norm > 4.25 else 0)
-    a = a / (2.0 ** s)
-    n = a.shape[0]
-    ident = np.eye(n, dtype=a.dtype)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm, 4.25) / 4.25)).astype(int)
+    a = a / (2.0 ** s)[..., None, None]
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
     b = _PADE13_B
     a2 = a @ a
     a4 = a2 @ a2
@@ -53,8 +53,9 @@ def expm(a):
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for i in range(np.max(s, initial=0)):
+        sq = s > i
+        r[sq] = r[sq] @ r[sq]
     return r
 
 
@@ -300,15 +301,15 @@ def power_stem(c):
     return StemFunction(f"power[{c}]", deriv)
 
 
+def _cosh_derivative(k, z, t):
+    """d^k/dz^k cosh(z t) = t^k {cosh, sinh}(z t), elementwise in t."""
+    zt = np.asarray(z) * t
+    return t ** k * (np.cosh(zt) if k % 2 == 0 else np.sinh(zt))
+
+
 def cosh_stem(t):
     """Stem z -> cosh(z t) for fixed real t."""
-
-    def deriv(k, z):
-        zt = np.asarray(z) * t
-        val = np.cosh(zt) if k % 2 == 0 else np.sinh(zt)
-        return t ** k * val
-
-    return StemFunction(f"cosh[{t}]", deriv)
+    return StemFunction(f"cosh[{t}]", lambda k, z: _cosh_derivative(k, z, t))
 
 
 def gamma_stem():
@@ -334,30 +335,16 @@ def gamma_stem():
 
 
 def bessel_k_stem(u):
-    """Stem nu -> K_nu(u); order-derivatives via the cosh-integral."""
+    """Stem nu -> K_nu(u), 0 past ``_KV_UNDERFLOW_U``: the k-th derivative
+    int_0^inf e^{-u cosh t} t^k {cosh, sinh}(nu t) dt summed on the nodes of
+    ``_fast._cosh_rule``, which also give K_nu and ``matrix_bessel_k``."""
     if u <= 0:
         raise MatfunError("bessel_k_stem requires u > 0")
-
-    def deriv(k, z):
-        return _k_order_derivative(k, complex(z), u)
-
-    return StemFunction(f"bessel_k[{u}]", deriv)
-
-
-def _k_order_derivative(k, nu, u):
-    """d^k/dnu^k of K_nu(u) = int_0^inf e^{-u cosh t} t^k {cosh,sinh}(nu t) dt."""
-    t_max = math.acosh(745.0 / min(u, 700.0)) if u < 745.0 else 0.05
-    x0, w0 = gauss_legendre(20)
-    npan = 28
-    edges = np.linspace(0.0, t_max, npan + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    t = (mids[:, None] + halfs[:, None] * x0[None, :]).ravel()
-    w = (halfs[:, None] * w0[None, :]).ravel()
-    damp = np.exp(-u * np.cosh(t))
-    osc = np.cosh(nu * t) if k % 2 == 0 else np.sinh(nu * t)
-    val = np.sum(w * damp * t ** k * osc)
-    return complex(val)
+    t = w = np.zeros(0)
+    if u <= _fast._KV_UNDERFLOW_U:
+        t, w = (x[0] for x in _fast._cosh_rule(np.array([float(u)])))
+    return StemFunction(f"bessel_k[{u}]", lambda k, z: complex(
+        np.dot(w, _cosh_derivative(k, complex(z), t))))
 
 
 def primary_matrix_fn(stem, m):
@@ -393,41 +380,20 @@ def _conjugate_closed(eigs, tol=1e-8):
     return True
 
 
-def matrix_bessel_k(n_mat, u, rtol=1e-11):
-    """K_N(u) = int_0^inf e^{-u cosh t} cosh(N t) dt for a matrix order N.
-
-    Evaluated after the substitution w = u e^t / 2 as an adaptive
-    Gauss-Kronrod integral on [u/2, W] with an analytic exponential bound
-    on the discarded tail; cosh(Nt) is computed by scaling-and-squaring
-    exponentials, independent of any eigendecomposition.
+def matrix_bessel_k(n_mat, u):
+    """K_N(u) = int_0^inf e^{-u cosh t} cosh(N t) dt for a matrix order N,
+    0 past ``_KV_UNDERFLOW_U``: sum_k w_k (e^{N t_k} + e^{-N t_k})/2 on the
+    ``_fast._cosh_rule`` nodes, which also give the scalar K_nu and its
+    order derivatives (``bessel_k_stem``).  One stacked ``expm`` gives the
+    exponentials of all nodes without an eigendecomposition, so a
+    defective order needs no Jordan data.
     """
     if u <= 0:
         raise MatfunError("matrix_bessel_k requires u > 0")
     a = _as_matrix(n_mat)
-    dim = a.shape[0]
-    if u > 745.0:
-        return np.zeros((dim, dim))
-    p_norm = float(np.linalg.norm(a, 2))
-
-    def tail_bound(w_edge):
-        expo = -w_edge + (p_norm + 1.0) * math.log(2.0 * w_edge / u)
-        return 2.0 * math.exp(max(expo, -745.0)) if expo > -745.0 else 0.0
-
-    w_hi = max(u + 10.0, 2.0 * (p_norm + 2.0), 25.0)
-    k0_scale = math.sqrt(math.pi / (2.0 * u)) * math.exp(-u) if u < 700 else 0.0
-    atol = max(1e-320, 1e-13 * k0_scale)
-    while tail_bound(w_hi) > max(atol, 1e-16 * k0_scale):
-        w_hi *= 1.25
-
-    def integrand(w_nodes):
-        out = np.empty((len(w_nodes), dim, dim))
-        for i, w in enumerate(w_nodes):
-            t = math.log(2.0 * w / u)
-            damp = math.exp(-w - u * u / (4.0 * w))
-            at = a * t
-            out[i] = 0.5 * damp / w * (expm(at) + expm(-at))
-        return out
-
-    val, _ = adaptive_gk(integrand, u / 2.0, w_hi, rtol=rtol, atol=atol,
-                         max_intervals=8192)
-    return val
+    if u > _fast._KV_UNDERFLOW_U:
+        return np.zeros(a.shape)
+    t, w = _fast._cosh_rule(np.array([float(u)]))
+    nt = t[0, :, None, None] * a
+    e = expm(np.concatenate([nt, -nt]))
+    return np.tensordot(w[0], 0.5 * (e[:len(nt)] + e[len(nt):]), axes=1)

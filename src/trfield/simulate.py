@@ -25,8 +25,8 @@ from .covariance import CovarianceError, IsotropicGaussianSpec
 from .kernels import FieldSpec, KernelError, MeasureSpec, existence_check
 
 __all__ = [
-    "SimulationError", "SimulationToleranceError", "SeedError", "GridSpec",
-    "Realization", "philox_stream", "sas_sample", "gaussian_exact",
+    "SimulationError", "SimulationToleranceError", "SimulationConfigError",
+    "GridSpec", "Realization", "philox_stream", "sas_sample", "gaussian_exact",
     "gaussian_exact_many", "spectral_synthesis", "ma_synthesis",
     "tfsm_synthesis", "sas_truncation_report", "truncation_margin",
     "tempering_radius", "symmetric_freq_grid", "spectral_tail_cutoff",
@@ -45,8 +45,8 @@ class SimulationToleranceError(SimulationError):
     """A numerical tolerance failed during synthesis (the CLI exits 4)."""
 
 
-class SeedError(SimulationError):
-    """A seed outside the unsigned 64-bit range (the CLI exits 2)."""
+class SimulationConfigError(SimulationError):
+    """A grid or a seed that violates the config schema (the CLI exits 2)."""
 
 
 class GridSpec:
@@ -56,12 +56,12 @@ class GridSpec:
         self.ranges = [(float(lo), float(hi)) for lo, hi in ranges]
         self.counts = [int(c) for c in counts]
         if len(self.ranges) != len(self.counts):
-            raise SimulationError("ranges and counts length mismatch")
+            raise SimulationConfigError("ranges and counts length mismatch")
         if any(c < 2 for c in self.counts):
-            raise SimulationError("point counts must be >= 2")
+            raise SimulationConfigError("point counts must be >= 2")
         if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi
                    for lo, hi in self.ranges):
-            raise SimulationError("empty or non-finite grid range")
+            raise SimulationConfigError("empty or non-finite grid range")
 
     @property
     def d(self):
@@ -170,10 +170,17 @@ class Realization:
             fh.write(self.to_csv_bytes())
 
 
+def _check_seed(seed):
+    """``seed`` if 0 <= seed < 2^64; else SimulationConfigError."""
+    if not 0 <= seed < 2 ** 64:
+        raise SimulationConfigError(
+            f"seed {seed} outside the range [0, 2^64)")
+    return seed
+
+
 def philox_stream(seed, stream_id):
     """Philox4x64 generator keyed by (seed, stream); 0 <= seed < 2^64."""
-    if not 0 <= seed < 2 ** 64:
-        raise SeedError(f"seed {seed} outside the range [0, 2^64)")
+    _check_seed(seed)
     bg = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
     return np.random.Generator(bg)
 

@@ -6,7 +6,7 @@ import math
 import time
 
 import numpy as np
-from stat_helpers import ks_2sample_pvalue
+from stat_helpers import ks_2sample_pvalue, kv_simpson
 
 from trfield.aniso import EHomogeneousFn
 from trfield.covariance import (CovarianceModel, IsotropicGaussianSpec,
@@ -30,17 +30,6 @@ def _report(criterion, ok, detail):
     assert ok, f"{criterion}: {detail}"
 
 
-def _kv_complex_simpson(nu, u, n_panels=800):
-    t_max = math.acosh(745.0 / u) if u < 745 else 0.0
-    t = np.linspace(0.0, t_max, 2 * n_panels + 1)
-    f = np.exp(-u * np.cosh(t)) * np.cosh(nu * t)
-    h = t[1] - t[0]
-    w = np.ones(len(t))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return h / 3.0 * np.dot(w, f)
-
-
 def test_A1_matrix_bessel_primary_function_fidelity():
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
@@ -57,7 +46,7 @@ def test_A1_matrix_bessel_primary_function_fidelity():
                 break
         for u in (0.1, 1.0, 10.0):
             mine = matrix_bessel_k(mat, u)
-            oracle = (p * [_kv_complex_simpson(e, u) for e in ev]) \
+            oracle = (p * [kv_simpson(e, u) for e in ev]) \
                 @ np.linalg.inv(p)
             rel = np.max(np.abs(mine - oracle.real)) / \
                 np.max(np.abs(oracle.real))

@@ -332,6 +332,70 @@ def test_simulate_non_finite_grid_range_refused_before_synthesis(
     monkeypatch.setattr(cli, "tfsm_synthesis", synthesis)
     doc = dict(TFSM_DOC, seed=1, grid={"ranges": [[lo, 1.0]], "counts": [8]})
     code, out = run(tmp_path, "simulate", doc)
-    assert code == EXIT_EXISTENCE
+    assert code == EXIT_SCHEMA
     assert "empty or non-finite grid range" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
+
+
+@pytest.mark.parametrize("grid", [
+    {"ranges": [[1.0, 0.0]], "counts": [8]},
+    {"ranges": [[0.0, 1.0]], "counts": [1]},
+    {"ranges": [[0.0, 1.0], [0.0, 1.0]], "counts": [8]},
+])
+def test_simulate_grid_violation_exits_schema(tmp_path, capsys, grid):
+    code, out = run(tmp_path, "simulate", dict(TFSM_DOC, seed=1, grid=grid))
+    assert code == EXIT_SCHEMA
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
+
+
+def _refuse_synthesis(monkeypatch):
+    from trfield import cli
+
+    def synthesis(*args, **kwargs):
+        raise AssertionError("a model was built for a bad config")
+
+    for name in ("tfsm_synthesis", "spectral_synthesis", "_load_cov_model"):
+        monkeypatch.setattr(cli, name, synthesis)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", "abc"), ("seed", 1.7), ("seed", True), ("seed", "2"),
+    ("seed", None), ("n_draws", "abc"), ("n_draws", -2), ("n_draws", 0),
+    ("n_draws", 2.0), ("n_draws", True),
+])
+def test_simulate_integer_fields_refused_before_synthesis(
+        tmp_path, capsys, monkeypatch, field, value):
+    _refuse_synthesis(monkeypatch)
+    doc = dict(TFSM_DOC, seed=1)
+    doc[field] = value
+    code, out = run(tmp_path, "simulate", doc)
+    assert code == EXIT_SCHEMA
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
+
+
+@pytest.mark.parametrize("value", ["abc", 1, 64.0, False])
+def test_simulate_freq_count_refused_before_synthesis(
+        tmp_path, capsys, monkeypatch, value):
+    _refuse_synthesis(monkeypatch)
+    doc = {"method": "spectral", "seed": 3, "freq_count": value,
+           "spec": {"variant": "IBTOFBF", "d": 1, "n": 1, "lambda": 1.0,
+                    "H": [[0.7]]},
+           "grid": {"ranges": [[0.0, 1.0]], "counts": [8]}}
+    code, out = run(tmp_path, "simulate", doc)
+    assert code == EXIT_SCHEMA
+    assert "freq_count" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
+
+
+def test_simulate_bad_seed_refused_before_gram(tmp_path, capsys,
+                                               monkeypatch):
+    _refuse_synthesis(monkeypatch)
+    doc = {"method": "gaussian_exact", "seed": -3,
+           "spec": {"variant": "ITOFBF", "d": 1, "n": 1, "lambda": 0.5,
+                    "H": [[0.7]]},
+           "grid": {"ranges": [[0.0, 1.0]], "counts": [2048]}}
+    code, _ = run(tmp_path, "simulate", doc)
+    assert code == EXIT_SCHEMA
+    assert "outside the range [0, 2^64)" in capsys.readouterr().err

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from stat_helpers import kv_simpson
 
+from trfield._fast import _KV_UNDERFLOW_U
 from trfield.matfun import (MatfunError, MatrixExponent, StemFunction,
                             bessel_k_stem, cosh_stem, expm, gamma_stem,
                             matrix_bessel_k, matrix_power, power_stem,
@@ -189,19 +191,18 @@ def test_gamma_stem_order_cap():
         gamma_stem().derivative(2, 1.5)
 
 
+@pytest.mark.parametrize("u", [0.05, 3.0, 40.0])
+@pytest.mark.parametrize("nu", [0.6, 0.3 + 0.4j])
+def test_bessel_k_stem_order_derivatives_mpmath_oracle(nu, u):
+    mpmath = pytest.importorskip("mpmath")
+    stem = bessel_k_stem(u)
+    for k in range(4):
+        expect = complex(mpmath.diff(lambda v: mpmath.besselk(v, u), nu, k))
+        assert stem.derivative(k, nu) == pytest.approx(expect, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # matrix Bessel
-
-def _kv_complex_oracle(nu, u, n_panels=800):
-    t_max = math.acosh(745.0 / u) if u < 745 else 0.0
-    t = np.linspace(0.0, t_max, 2 * n_panels + 1)
-    f = np.exp(-u * np.cosh(t)) * np.cosh(nu * t)
-    h = t[1] - t[0]
-    w = np.ones(len(t))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return h / 3.0 * np.dot(w, f)
-
 
 def test_matrix_bessel_scalar_reduces_to_kv():
     out = matrix_bessel_k(np.array([[0.5]]), 2.0)
@@ -219,7 +220,7 @@ def test_matrix_bessel_eigenbasis_oracle(rng):
     n2 = np.array([[0.3, 0.1], [0.05, 0.6]])
     ev, p = np.linalg.eig(n2)
     for u in (0.5, 2.0):
-        oracle = (p * [_kv_complex_oracle(e, u) for e in ev]) \
+        oracle = (p * [kv_simpson(e, u) for e in ev]) \
             @ np.linalg.inv(p)
         out = matrix_bessel_k(n2, u)
         assert np.max(np.abs(out - oracle.real)) < 1e-8 * np.max(np.abs(out))
@@ -230,7 +231,7 @@ def test_matrix_bessel_complex_pair_real_output():
     out = matrix_bessel_k(n3, 1.0)
     assert not np.iscomplexobj(out)
     ev, p = np.linalg.eig(n3)
-    oracle = (p @ np.diag([_kv_complex_oracle(e, 1.0) for e in ev])
+    oracle = (p @ np.diag([kv_simpson(e, 1.0) for e in ev])
               @ np.linalg.inv(p))
     assert np.max(np.abs(out - oracle.real)) < 1e-8
 
@@ -261,6 +262,29 @@ def test_matrix_bessel_rejects_bad_u():
         matrix_bessel_k(np.eye(2), 0.0)
 
 
+@pytest.mark.parametrize("theta", [0.3, 1.4])
+@pytest.mark.parametrize("u", [0.05, 1.0, 40.0])
+def test_matrix_bessel_jordan_block_holds_order_derivative(theta, u):
+    # K_N of a defective order [[theta, 0], [1, theta]] needs no Jordan data
+    mpmath = pytest.importorskip("mpmath")
+    k0 = float(mpmath.besselk(theta, u))
+    k1 = float(mpmath.diff(lambda v: mpmath.besselk(v, u), theta))
+    out = matrix_bessel_k(np.array([[theta, 0.0], [1.0, theta]]), u)
+    np.testing.assert_allclose(out, [[k0, 0.0], [k1, k0]], rtol=1e-12,
+                               atol=1e-14 * k0)
+
+
+def test_matrix_and_scalar_bessel_share_underflow_cutoff():
+    below = np.nextafter(_KV_UNDERFLOW_U, 0.0)
+    above = np.nextafter(_KV_UNDERFLOW_U, np.inf)
+    n = np.array([[0.4, -0.3], [0.2, 0.7]])
+    assert bessel_k(0.4, below) > 0.0
+    assert np.all(matrix_bessel_k(n, below) != 0.0)
+    assert bessel_k(0.4, above) == 0.0
+    assert not np.any(matrix_bessel_k(n, above))
+    assert bessel_k_stem(above).derivative(1, 0.4) == 0.0
+
+
 def test_expm_against_series(rng):
     a = 0.4 * rng.standard_normal((3, 3))
     series = np.eye(3)
@@ -269,3 +293,13 @@ def test_expm_against_series(rng):
         term = term @ a / k
         series = series + term
     assert np.max(np.abs(expm(a) - series)) < 1e-12
+
+
+def test_expm_stack_matches_each_slice_bit_for_bit(rng):
+    # norms from 1e-3 to 300 give each slice its own number of squarings
+    stack = rng.standard_normal((4, 6, 3, 3)) \
+        * np.geomspace(1e-3, 300.0, 24).reshape(4, 6, 1, 1)
+    out = expm(stack)
+    assert out.shape == stack.shape
+    for idx in np.ndindex(4, 6):
+        assert np.array_equal(out[idx], expm(stack[idx]))

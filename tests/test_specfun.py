@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from stat_helpers import kv_simpson
 
 from trfield import _fast
 from trfield.quadrature import adaptive_gk, integrate_decaying
@@ -69,18 +70,6 @@ def test_beta_values_and_quadrature_oracle():
 # ---------------------------------------------------------------------------
 # Bessel K
 
-def _kv_oracle(nu, u, n_panels=600):
-    """Plain Simpson quadrature of the cosh integral representation."""
-    t_max = math.acosh(745.0 / u) if u < 745 else 0.0
-    t = np.linspace(0.0, t_max, 2 * n_panels + 1)
-    f = np.exp(-u * np.cosh(t)) * np.cosh(nu * t)
-    h = t[1] - t[0]
-    w = np.ones_like(t)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return h / 3.0 * float(np.dot(w, f))
-
-
 def test_bessel_k_half_integer_closed_forms():
     assert bessel_k(0.5, 1.0) == pytest.approx(
         math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-12)
@@ -93,7 +82,8 @@ def test_bessel_k_half_integer_closed_forms():
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 0.9, 1.3, 2.7])
 @pytest.mark.parametrize("u", [0.05, 0.7, 2.0, 5.0, 20.0])
 def test_bessel_k_against_quadrature_oracle(nu, u):
-    assert bessel_k(nu, u) == pytest.approx(_kv_oracle(nu, u), rel=1e-8)
+    assert bessel_k(nu, u) == pytest.approx(kv_simpson(nu, u, n_panels=600),
+                                            rel=1e-8)
 
 
 @given(st.floats(-3.0, 3.0), st.floats(0.02, 60.0))
