@@ -2,8 +2,11 @@
 
 ``kv_batch`` (K_nu: a Temme series for u <= 2, above it ``_cosh_rule``,
 the trapezoidal rule on the cosh integral that also serves the order
-derivatives and the matrix-order K_N of ``matfun``), ``hyp2f1_batch``
-(Gauss 2F1 for z <= 0), ``cms_batch`` (Chambers-Mallows-Stuck variates;
+derivatives and the matrix-order K_N of ``matfun``; orders from 3/2 on
+recur upward from K_mu and K_{mu+1}, |mu| <= 1/2), ``hyp2f1_batch``
+(Gauss 2F1 for z <= 0: the Pfaff series on [-1, 0], the 1/(1-z)
+connection formula below, both at w <= 1/2 and summed in blocks of
+``_HYP_BLOCK`` terms), ``cms_batch`` (Chambers-Mallows-Stuck variates;
 at alpha = 2 the exact closed form 2 sin(theta) sqrt(w)),
 ``ma_matrix_1d`` and ``tfsm_matrix`` (moving-average kernel matrices,
 through the one tempered power ``_tempered_power``) and ``box_count``
@@ -38,6 +41,7 @@ _RGAMMA_A = np.array([
 _KV_UNDERFLOW_U = 700.0
 _LATTICE_RTOL = 1e-12            # lag-lattice detection, relative to |x|
 _KV_CHUNK = 256
+_HYP_BLOCK = 32                  # 2F1 series terms per block
 
 
 class SpecfunError(ValueError):
@@ -95,12 +99,16 @@ def _kv_series(nu, x):
         ksum1 += c * (p - i * ff)
         if np.max(np.abs(dl)) < np.max(np.abs(ksum)) * 1e-17:
             break
-    k0 = ksum
-    k1 = ksum1 * (2.0 / x)
+    return _kv_upward(mu, n, x, ksum, ksum1 * (2.0 / x))
+
+
+def _kv_upward(mu, n, u, k0, k1):
+    """K_{mu+n}(u) from k0 = K_mu(u) and k1 = K_{mu+1}(u) by the upward
+    recurrence K_{m+1} = K_{m-1} + (2m/u) K_m, stable for K."""
     if n == 0:
         return k0
     for i in range(n - 1):
-        k0, k1 = k1, k0 + (2.0 * (mu + i + 1) / x) * k1
+        k0, k1 = k1, k0 + (2.0 * (mu + i + 1) / u) * k1
     return k1
 
 
@@ -131,11 +139,23 @@ def _cosh_rule(u):
 def _kv_trapezoid(nu, u):
     """K_nu(u) = sum_k w_k cosh(nu t_k) on the ``_cosh_rule`` nodes, in
     chunks of ``_KV_CHUNK`` arguments to bound the (chunk, nodes)
-    temporaries."""
+    temporaries.  The peak of the integrand moves out to sinh t ~ nu/u
+    and sharpens past what the step resolves as nu grows, so from
+    n = round(nu) >= 2 on the rule sums K_mu and K_{mu+1}, mu = nu - n,
+    and ``_kv_upward`` recurs to K_nu, as the series branch does.
+    """
+    n = int(math.floor(nu + 0.5))
     out = np.empty_like(u)
     for start in range(0, u.shape[0], _KV_CHUNK):
-        t, w = _cosh_rule(u[start:start + _KV_CHUNK])
-        out[start:start + _KV_CHUNK] = np.sum(w * np.cosh(nu * t), axis=1)
+        uc = u[start:start + _KV_CHUNK]
+        t, w = _cosh_rule(uc)
+        if n < 2:
+            out[start:start + _KV_CHUNK] = np.sum(w * np.cosh(nu * t), axis=1)
+            continue
+        mu = nu - n
+        k0 = np.sum(w * np.cosh(mu * t), axis=1)
+        k1 = np.sum(w * np.cosh((mu + 1.0) * t), axis=1)
+        out[start:start + _KV_CHUNK] = _kv_upward(mu, n, uc, k0, k1)
     return out
 
 
@@ -171,10 +191,11 @@ def _rgamma_zero(x):
 def _conn_coef(a, b, c):
     """Sign and log-magnitude of Gamma(c) Gamma(b-a) / (Gamma(b) Gamma(c-a)).
 
-    This is the coefficient of the (-z)^(-a) term of the 1/z connection
-    formula (DLMF 15.8.2); swap a and b for the other term.  1/Gamma is
-    exactly 0 at the non-positive integers, so the sign is 0 (the term
-    vanishes) when b or c - a is one, and lgamma is never called at a pole.
+    This is the coefficient of the (1-z)^(-a) term of the 1/(1-z)
+    connection formula (Abramowitz & Stegun 15.3.8); swap a and b for the
+    other term.  1/Gamma is exactly 0 at the non-positive integers, so the
+    sign is 0 (the term vanishes) when b or c - a is one, and lgamma is
+    never called at a pole.
     """
     if _rgamma_zero(b) or _rgamma_zero(c - a):
         return 0.0, 0.0
@@ -185,52 +206,72 @@ def _conn_coef(a, b, c):
 
 
 def _hyp_series(a, b, c, w, max_terms):
-    """sum_k (a)_k (b)_k / ((c)_k k!) w^k over an array w.
+    """sum_k (a)_k (b)_k / ((c)_k k!) w^k over an array w, in blocks of
+    B = ``_HYP_BLOCK`` terms.
 
-    Raises SpecfunError when ``max_terms`` terms leave the last one above
-    1e-17 of the sum.
+    The table w^j = exp(j log w), j = 1 .. B, is built once (w >= 0; its
+    relative error j |log w| ulps is at most that of j products for
+    w >= 1/e, and smaller terms matter less); a block is its leading term
+    times the row sums of that table scaled by one cumprod of the
+    coefficient ratios.  Rows are summed alone, so a value does not depend
+    on the other entries of w.  Convergence is checked per block; raises
+    SpecfunError when ``max_terms`` terms leave the last one above 1e-17
+    of the sum.
     """
+    with np.errstate(divide="ignore"):          # w = 0 gives w^j = 0
+        powers = np.log(w)[:, None] * np.arange(1.0, _HYP_BLOCK + 1.0)
+    np.exp(powers, out=powers)
     s = np.ones_like(w)
-    t = np.ones_like(w)
-    for k in range(max_terms):
-        t = t * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * w
-        s = s + t
-        if abs(t).max() < 1e-17 * abs(s).max():
+    lead = np.ones_like(w)           # the term before the block
+    for k0 in range(0, max_terms, _HYP_BLOCK):
+        k = np.arange(k0, min(k0 + _HYP_BLOCK, max_terms), dtype=float)
+        coef = np.cumprod((a + k) * (b + k) / ((c + k) * (k + 1.0)))
+        s += lead * (powers[:, :k.size] * coef).sum(axis=1)
+        lead = lead * coef[-1] * powers[:, k.size - 1]
+        if abs(lead).max() < 1e-17 * abs(s).max():
             return s
     raise SpecfunError(
         f"2F1 series reached its cap of {max_terms} terms with the last "
-        f"term {abs(t).max() / abs(s).max():.1e} of the sum")
+        f"term {abs(lead).max() / abs(s).max():.1e} of the sum")
 
 
 def hyp2f1_batch(a, b, c, z):
-    """2F1(a, b; c; z) over a 1-d array of z <= 0: direct series for
-    |z| < 0.9, Pfaff transformation down to z = -16 (or when a - b is near
-    an integer), the 1/z connection formula beyond."""
+    """2F1(a, b; c; z) over a 1-d array of z <= 0 (regions chosen as in
+    Pearson, Olver & Porter, Numer. Algorithms 74, 2017).
+
+    On [-1, 0] the Pfaff series (1-z)^(-a) 2F1(a, c-b; c; w), w = z/(z-1);
+    below, the 1/(1-z) connection formula (1-z)^(-a) 2F1(a, c-b; a-b+1; w)
+    plus the a <-> b term, w = 1/(1-z), weighted by ``_conn_coef``.  Both
+    run at w <= 1/2 unless a - b is within delta < 0.1 of an integer: the
+    two connection terms then grow like 1/delta and cancel, losing about
+    w/delta^2 ulps, so the Pfaff series runs on down to 1/(1-z) = 5 delta,
+    and at every z for delta < 0.02, converging slowly as w -> 1.
+    """
     a, b, c = float(a), float(b), float(c)
     z = np.ascontiguousarray(np.asarray(z, dtype=float).ravel())
-    out = np.ones_like(z)
-    direct = np.abs(z) < 0.9
-    if direct.any():
-        out[direct] = _hyp_series(a, b, c, z[direct], 1000)
+    out = np.empty_like(z)
     ab = a - b
-    near_int = abs(ab - math.floor(ab + 0.5)) < 0.02
-    pfaff = ~direct & ((z >= -16.0) | near_int)
+    delta = abs(ab - math.floor(ab + 0.5))
+    z_far = 1.0 - 1.0 / min(0.5, 5.0 * delta) if delta >= 0.02 else -np.inf
+    far = z < z_far
+    pfaff = ~far
     if pfaff.any():
         zz = z[pfaff]
         w = zz / (zz - 1.0)
         out[pfaff] = (1.0 - zz) ** (-a) * _hyp_series(a, c - b, c, w, 300000)
-    far = ~(direct | pfaff)
     if far.any():
-        zz = z[far]
-        acc = np.zeros_like(zz)
+        one_mz = 1.0 - z[far]
+        w = 1.0 / one_mz
+        log_1mz = np.log(one_mz)
+        acc = np.zeros_like(w)
         sg, lg = _conn_coef(a, b, c)
         if sg != 0.0:
-            acc += sg * np.exp(lg - a * np.log(-zz)) * _hyp_series(
-                a, a - c + 1.0, a - b + 1.0, 1.0 / zz, 400)
+            acc += sg * np.exp(lg - a * log_1mz) * _hyp_series(
+                a, c - b, ab + 1.0, w, 400)
         sg, lg = _conn_coef(b, a, c)
         if sg != 0.0:
-            acc += sg * np.exp(lg - b * np.log(-zz)) * _hyp_series(
-                b, b - c + 1.0, b - a + 1.0, 1.0 / zz, 400)
+            acc += sg * np.exp(lg - b * log_1mz) * _hyp_series(
+                b, c - a, 1.0 - ab, w, 400)
         out[far] = acc
     return out
 

@@ -102,7 +102,25 @@ class GridSpec:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(doc["ranges"], doc["counts"])
+        """Grid from ``{"ranges": [[lo, hi], ...], "counts": [n, ...]}``:
+        ranges are pairs of JSON numbers, counts JSON integers (no bool,
+        float or string); anything else raises SimulationConfigError."""
+        if not (isinstance(doc, dict) and "ranges" in doc and "counts" in doc):
+            raise SimulationConfigError(
+                f"grid must be an object with 'ranges' and 'counts', "
+                f"got {doc!r}")
+        ranges, counts = doc["ranges"], doc["counts"]
+        if not (isinstance(ranges, list) and all(
+                isinstance(r, list) and len(r) == 2
+                and all(type(v) in (int, float) for v in r) for r in ranges)):
+            raise SimulationConfigError(
+                f"grid ranges must be a list of [lo, hi] numbers, "
+                f"got {ranges!r}")
+        if not (isinstance(counts, list)
+                and all(type(c) is int for c in counts)):
+            raise SimulationConfigError(
+                f"grid counts must be a list of integers, got {counts!r}")
+        return cls(ranges, counts)
 
 
 class Realization:

@@ -349,6 +349,29 @@ def test_simulate_grid_violation_exits_schema(tmp_path, capsys, grid):
     assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
 
 
+@pytest.mark.parametrize("grid", [
+    {"ranges": [[0.0, 1.0]]},
+    {"counts": [8]},
+    [[0.0, 1.0], [8]],
+    {"ranges": [[0.0, 1.0]], "counts": [8.9]},
+    {"ranges": [[0.0, 1.0]], "counts": ["9"]},
+    {"ranges": [[0.0, 1.0]], "counts": [True]},
+    {"ranges": [[0.0, 1.0]], "counts": 8},
+    {"ranges": [0.0, 1.0], "counts": [8]},
+    {"ranges": [[0.0, "1"]], "counts": [8]},
+    {"ranges": [[0.0, 0.5, 1.0]], "counts": [8]},
+])
+def test_simulate_malformed_grid_exits_schema(tmp_path, capsys, monkeypatch,
+                                              grid):
+    _refuse_synthesis(monkeypatch)
+    code, out = run(tmp_path, "simulate", dict(TFSM_DOC, seed=1, grid=grid))
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "config error" in err and "grid" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
+
+
 def _refuse_synthesis(monkeypatch):
     from trfield import cli
 

@@ -100,6 +100,36 @@ def test_kv_batch_mpmath_oracle(nu):
     np.testing.assert_allclose(_fast.kv_batch(nu, u), expect, rtol=1e-12)
 
 
+@pytest.mark.parametrize("nu", [10.0, 30.0, 60.0, 100.0, 150.0])
+def test_kv_batch_large_order_mpmath_oracle(nu):
+    mpmath = pytest.importorskip("mpmath")
+    u = np.array([2.5, 5.0, 20.0, 50.0, 200.0])
+    expect = np.array([float(mpmath.besselk(nu, ui)) for ui in u])
+    got = _fast.kv_batch(nu, u)
+    assert not np.isnan(got).any()
+    finite = np.isfinite(expect)
+    np.testing.assert_allclose(got[finite], expect[finite], rtol=1e-12)
+
+
+@pytest.mark.parametrize("nu", [102.0, 150.0, 200.0, 400.0])
+def test_kv_batch_large_order_has_no_nan(nu):
+    # small u share a chunk's nodes with large ones; K_nu overflows to inf
+    # near u = 2 from nu ~ 170 on, but 0 * inf must not appear
+    with np.errstate(over="ignore"):
+        got = _fast.kv_batch(nu, np.geomspace(2.01, 700.0, 1024))
+    assert not np.isnan(got).any()
+    assert np.all(got > 0.0)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.24, 0.43, 0.98, 1.49])
+def test_kv_batch_low_order_sums_cosh_rule_directly(nu):
+    # orders below 3/2 sum K_nu itself on the rule, with no recurrence
+    u = np.geomspace(2.01, 700.0, 300)
+    t, w = _fast._cosh_rule(u)
+    np.testing.assert_array_equal(_fast.kv_batch(nu, u),
+                                  np.sum(w * np.cosh(nu * t), axis=1))
+
+
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.3, 2.7, 4.2])
 def test_kv_batch_continuous_across_series_switch(nu):
     # u <= 2 takes the series, u > 2 the trapezoid
@@ -263,15 +293,22 @@ def _hyp_series(a, b, c, w, max_terms):
 
 def test_hyp2f1_continuity_at_branch_switches():
     a, b, c = 0.62, 1.12, 0.5
-    # both internal branches evaluated at the exact switch points
-    for z0 in (-0.9, -16.0):
-        direct = _hyp_series(a, b, c, z0, 300000) if z0 > -1 else None
-        pfaff = (1 - z0) ** (-a) * _hyp_series(a, c - b, c, z0 / (z0 - 1),
-                                               300000)
-        via_api = hyp2f1(a, b, c, z0)
-        if direct is not None:
-            assert direct == pytest.approx(pfaff, rel=1e-10)
-        assert via_api == pytest.approx(pfaff, rel=1e-10)
+    # both internal branches evaluated at the switch point z = -1, where
+    # the Pfaff series and the 1/(1-z) connection formula both take w = 1/2
+    z0 = -1.0
+    pfaff = (1 - z0) ** (-a) * _hyp_series(a, c - b, c, z0 / (z0 - 1),
+                                           300000)
+    w = 1.0 / (1.0 - z0)
+    g = math.gamma
+    conn = (g(c) * g(b - a) / (g(b) * g(c - a)) * (1 - z0) ** (-a)
+            * _hyp_series(a, c - b, a - b + 1.0, w, 300000)
+            + g(c) * g(a - b) / (g(a) * g(c - b)) * (1 - z0) ** (-b)
+            * _hyp_series(b, c - a, b - a + 1.0, w, 300000))
+    assert conn == pytest.approx(pfaff, rel=1e-10)
+    assert hyp2f1(a, b, c, z0) == pytest.approx(pfaff, rel=1e-10)
+    # one ulp below the switch the API takes the connection formula
+    below = hyp2f1(a, b, c, np.nextafter(z0, -2.0))
+    assert below == pytest.approx(hyp2f1(a, b, c, z0), rel=1e-12)
 
 
 def test_hyp2f1_contiguous_relation(rng):
@@ -317,7 +354,64 @@ def test_hyp2f1_batch_matches_scalar(rng):
 
 
 # ---------------------------------------------------------------------------
-# 2F1 far branch (z < -16): the 1/z connection formula at Gamma poles.
+# 2F1 against two independent oracles, on both sides of the z = -1 switch.
+
+_ORACLE_Z = -np.array([0.0, 0.3, 0.7, 0.99, 1.0, 1.01, 1.5, 3.0, 9.0, 10.0,
+                       16.0, 17.0, 1e2, 1e3, 1e4, 1e6, 1e8])
+
+
+def _oracle_rows():
+    rows = [
+        (0.5, 1.0, 0.5), (1.3, 0.45, 1.3),       # c - a = 0
+        (1.5, 1.0, 0.5), (2.25, 0.45, 1.25),     # c - a = -1
+        (1.0, 0.5, 0.5), (0.45, 2.25, 1.25),     # c - b = 0, -1
+        (0.7, 1.3, 1.7), (1.45, 0.3, 2.3),       # c - a = 1, c - b = 2
+        (0.623, 1.123, 0.5), (1.116, 1.616, 1.5),  # ITOFBF, d = 1 and 3
+        (2.4, 2.37, 3.9), (0.9, 1.879, 3.9),     # a - b 0.03, 0.021 off
+        (2.4, 0.33, 3.9), (0.1, 2.5, 0.3), (2.5, 0.1, 4.0),
+    ]
+    rng = np.random.default_rng(15)
+    while len(rows) < 45:
+        a, b = rng.uniform(0.1, 2.5, 2)
+        # within 0.02 of an integer a - b the Pfaff series cannot reach
+        # z = -1e8 (test_hyp2f1_raises_where_pfaff_series_hits_cap)
+        if abs(a - b - round(a - b)) >= 0.02:
+            rows.append((a, b, rng.uniform(0.3, 4.0)))
+    return rows
+
+
+def _mpmath_2f1(a, b, c, z):
+    mpmath = pytest.importorskip("mpmath")
+
+    def one(zi):
+        try:
+            return float(mpmath.hyp2f1(a, b, c, zi))
+        except ValueError:
+            # hypsum cannot reach a relative accuracy at an exact zero of
+            # F, such as 2F1(3/2, 1; 1/2; -1) = (1/4)(1 - 1)
+            return 0.0
+    return np.array([one(zi) for zi in z])
+
+
+def _scipy_2f1(a, b, c, z):
+    special = pytest.importorskip("scipy.special")
+    return special.hyp2f1(a, b, c, z)
+
+
+@pytest.mark.parametrize("oracle", [_mpmath_2f1, _scipy_2f1],
+                         ids=["mpmath", "scipy"])
+def test_hyp2f1_two_oracles_across_switch(oracle):
+    # atol scales with each row's largest |F|, so a zero of F inside a row
+    # is judged by the absolute error it is computed with
+    for a, b, c in _oracle_rows():
+        expect = oracle(a, b, c, _ORACLE_Z)
+        np.testing.assert_allclose(
+            hyp2f1_batch(a, b, c, _ORACLE_Z), expect, rtol=1e-12,
+            atol=1e-14 * np.max(np.abs(expect)), err_msg=str((a, b, c)))
+
+
+# ---------------------------------------------------------------------------
+# 2F1 far branch (z < -1): the 1/(1-z) connection formula at Gamma poles.
 
 _HYP_PATHS = {
     "numpy": _fast.hyp2f1_batch,
