@@ -213,10 +213,10 @@ def _hyp_series(a, b, c, w, max_terms):
     relative error j |log w| ulps is at most that of j products for
     w >= 1/e, and smaller terms matter less); a block is its leading term
     times the row sums of that table scaled by one cumprod of the
-    coefficient ratios.  Rows are summed alone, so a value does not depend
-    on the other entries of w.  Convergence is checked per block; raises
-    SpecfunError when ``max_terms`` terms leave the last one above 1e-17
-    of the sum.
+    coefficient ratios.  Convergence is checked once per block, on the
+    batch as a whole: every row runs until the largest last term is below
+    1e-17 of the largest |sum|, so the slowest row sets the number of
+    blocks.  Raises SpecfunError when ``max_terms`` terms do not get there.
     """
     with np.errstate(divide="ignore"):          # w = 0 gives w^j = 0
         powers = np.log(w)[:, None] * np.arange(1.0, _HYP_BLOCK + 1.0)
@@ -242,17 +242,24 @@ def hyp2f1_batch(a, b, c, z):
     On [-1, 0] the Pfaff series (1-z)^(-a) 2F1(a, c-b; c; w), w = z/(z-1);
     below, the 1/(1-z) connection formula (1-z)^(-a) 2F1(a, c-b; a-b+1; w)
     plus the a <-> b term, w = 1/(1-z), weighted by ``_conn_coef``.  Both
-    run at w <= 1/2 unless a - b is within delta < 0.1 of an integer: the
-    two connection terms then grow like 1/delta and cancel, losing about
-    w/delta^2 ulps, so the Pfaff series runs on down to 1/(1-z) = 5 delta,
-    and at every z for delta < 0.02, converging slowly as w -> 1.
+    run at w <= 1/2 unless the two connection terms cancel, where the
+    Pfaff series runs further out, converging slowly as its w -> 1:
+    - a - b within delta < 0.1 of an integer: the terms grow like
+      1/delta, losing about w/delta^2 ulps, so the connection formula
+      starts at 1/(1-z) = 5 delta, and is not used for delta < 0.02;
+    - c > 2: by Euler each term carries the factor (1-w)^(1-c), about
+      exp(w (c-1)), against an F of order one, so the connection formula
+      starts at 1/(1-z) = 1/(2 (c-1)), where that factor is below e^(1/2).
+      The Pfaff series then needs terms in proportion to c at the switch,
+      and reaches its cap (SpecfunError) for c of several thousand.
     """
     a, b, c = float(a), float(b), float(c)
     z = np.ascontiguousarray(np.asarray(z, dtype=float).ravel())
     out = np.empty_like(z)
     ab = a - b
     delta = abs(ab - math.floor(ab + 0.5))
-    z_far = 1.0 - 1.0 / min(0.5, 5.0 * delta) if delta >= 0.02 else -np.inf
+    w_far = min(0.5, 5.0 * delta, 0.5 / (c - 1.0) if c > 1.0 else 1.0)
+    z_far = 1.0 - 1.0 / w_far if delta >= 0.02 else -np.inf
     far = z < z_far
     pfaff = ~far
     if pfaff.any():

@@ -189,8 +189,10 @@ def _bessel_j_asymptotic(nu, u):
 def hyp2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z) for real parameters, z <= 0.
 
-    Direct series inside the convergence disc, Pfaff transformation for
-    moderate negative z, and the 1/z connection formula far out.  Each
+    The Pfaff series on [-1, 0] and the 1/(1-z) connection formula
+    (Abramowitz & Stegun 15.3.8) below, both summed at w <= 1/2; the Pfaff
+    series runs further out where the two connection terms would cancel
+    (a - b near an integer, or c > 2).  Each
     connection coefficient carries a factor 1/Gamma that is exactly 0 when
     its argument (b, c - a, a or c - b) is a non-positive integer; that
     term then vanishes, so e.g. 2F1(a, b; a; z) = (1 - z)^(-b) and

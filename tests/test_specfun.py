@@ -410,6 +410,36 @@ def test_hyp2f1_two_oracles_across_switch(oracle):
             atol=1e-14 * np.max(np.abs(expect)), err_msg=str((a, b, c)))
 
 
+def _large_c_rows():
+    rows = [(1.0, 0.5, 50.0), (1.0, 0.5, 20.0), (2.4, 2.37, 10.0),
+            (0.623, 1.123, 20.0)]
+    rng = np.random.default_rng(17)
+    while len(rows) < 22:
+        a, b = rng.uniform(0.1, 2.5, 2)
+        if abs(a - b - round(a - b)) >= 0.02:
+            rows.append((a, b, (10.0, 20.0, 50.0)[len(rows) % 3]))
+    return rows
+
+
+def test_hyp2f1_large_c_mpmath_oracle():
+    # For c > 2 each connection term carries the Euler factor
+    # (1-w)^(1-c); with the switch at z = -1 for every c, 2F1(1, 1/2; 50;
+    # -1.01) came out 12 instead of 0.99.  The grid straddles z = -1 and
+    # each c's own switch 1 - 2 (c-1), one ulp either side.  scipy is not
+    # an oracle here: it is off by up to 4e-6 at c = 50.
+    mpmath = pytest.importorskip("mpmath")
+    for a, b, c in _large_c_rows():
+        z_sw = 1.0 - 2.0 * (c - 1.0)
+        z = np.concatenate([_ORACLE_Z, [-1.5, -3.0, -5.0, -20.0, -30.0,
+                                        -50.0, -200.0, z_sw,
+                                        np.nextafter(z_sw, 0.0),
+                                        np.nextafter(z_sw, -np.inf)]])
+        expect = np.array([float(mpmath.hyp2f1(a, b, c, zi)) for zi in z])
+        np.testing.assert_allclose(
+            hyp2f1_batch(a, b, c, z), expect, rtol=1e-12,
+            atol=1e-14 * np.max(np.abs(expect)), err_msg=str((a, b, c)))
+
+
 # ---------------------------------------------------------------------------
 # 2F1 far branch (z < -1): the 1/(1-z) connection formula at Gamma poles.
 
