@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .quadrature import (QuadratureError, adaptive_gk, integrate_decaying,
-                         oscillatory_tail)
+from .quadrature import (QuadratureError, adaptive_gk, decaying_abscissae,
+                         gauss_legendre, integrate_decaying, oscillatory_tail)
 from .specfun import (bessel_j_batch, bessel_k_batch, beta_fn,
                       gamma_fn, hyp2f1_batch)
 
@@ -439,75 +439,105 @@ def _angular_average(d, z):
     return out
 
 
-_ZERO_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _angular_zeros(d, k_max):
     """Breakpoints of the angular kernel: odd multiples of pi/2 (cos),
     J0 zeros (McMahon + Newton), or multiples of pi (sinc)."""
-    key = (d, k_max)
-    if key in _ZERO_CACHE:
-        return _ZERO_CACHE[key]
     if d == 1:
-        out = (np.arange(k_max) + 0.5) * math.pi
-    elif d == 3:
-        out = (np.arange(k_max) + 1.0) * math.pi
-    else:
-        beta = (np.arange(k_max) + 0.75) * math.pi
-        z = beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
-        for _ in range(2):
-            j0 = bessel_j_batch(0.0, z)
-            j1 = bessel_j_batch(1.0, z)
-            z = z + j0 / j1
-        out = z
-    _ZERO_CACHE[key] = out
-    return out
+        return (np.arange(k_max) + 0.5) * math.pi
+    if d == 3:
+        return (np.arange(k_max) + 1.0) * math.pi
+    beta = (np.arange(k_max) + 0.75) * math.pi
+    z = beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
+    for _ in range(2):
+        z = z + bessel_j_batch(0.0, z) / bessel_j_batch(1.0, z)
+    return z
 
 
-def _radial_transform(env, u_norm, d, p_decay, head_scale, rtol=1e-9):
-    """T(u) = omega_{d-1} int_0^inf (1 - A_d(u r)) env(r) r^{d-1} dr."""
-    omega = _surface_area(d)
-    if u_norm == 0.0:
-        return 0.0
+def _span_gk(g, a, b, rtol):
+    """int_{a_j}^{b_j} g(r)_j dr for every row j of g's (J, m) abscissae:
+    one vector-valued adaptive_gk over t in [0, 1], r = a + t (b - a), with
+    each row scaled by its 8-point Gauss-Legendre estimate so that the
+    shared error test is relative for every row."""
+    def f(t):
+        return ((b - a)[:, None] * g(a[:, None] + (b - a)[:, None] * t)).T
 
-    def head_f(r):
-        return (1.0 - _angular_average(d, u_norm * r)) * env(r) * r ** (d - 1)
+    x, w = gauss_legendre(8)
+    est = np.abs(0.5 * w @ f(0.5 + 0.5 * x))
+    est[est == 0.0] = 1.0
+    val, _ = adaptive_gk(lambda t: f(t) / est, 0.0, 1.0, rtol=rtol,
+                         atol=1e-300, max_intervals=16384)
+    return val * est
 
-    r0 = min(max(2.0 * head_scale, 1.0), 40.0 / u_norm)
-    head, _ = adaptive_gk(head_f, 0.0, r0, rtol=rtol, atol=1e-300,
-                          max_intervals=16384)
 
-    def plain(r):
+def _prefetched(fn, points):
+    """``fn`` on 1-d arrays, with its values at ``points`` computed in one
+    call up front; a request with any other abscissa calls ``fn``."""
+    table = dict(zip(points.tolist(), fn(points).tolist()))
+
+    def f(r):
+        vals = [table.get(x) for x in r.tolist()]
+        return fn(r) if None in vals else np.array(vals)
+    return f
+
+
+def _radial_transform(env, u, d, p_decay, head_scale, rtol=1e-9):
+    """T(u) = omega_{d-1} int_0^inf (1 - A_d(u r)) env(r) r^{d-1} dr at every
+    u > 0 of an array, as head + mid - pre - tail.
+
+    Radii are grouped by r0 = min(max(2 head_scale, 1), 40/u), and ``mid``
+    = int_{r0}^inf env r^{d-1} dr is computed once per group, with env
+    prefetched at the abscissae of its first 64 blocks.  ``head`` (1 - A_d
+    against env on [0, r0]) and ``pre`` (A_d against env from r0 to the
+    first zero of A_d(u r) beyond it) are one ``_span_gk`` each for all
+    radii; ``tail`` sums the panels between the later zeros, one env call
+    per block of panels for all radii.  A QuadratureError names the
+    stage, the radii and the tolerance.
+    """
+    r0 = np.minimum(max(2.0 * head_scale, 1.0), 40.0 / u)
+    zeros = _angular_zeros(d, 3000)[None, :] / u[:, None]
+    first = np.argmax(zeros > r0[:, None], axis=1)
+    edges = zeros[np.arange(u.size)[:, None],
+                  first[:, None] + np.arange(zeros.shape[1] - first.max())]
+
+    def weighted(r):
         return env(r) * r ** (d - 1)
 
-    def tail_bound(r):
-        return env(np.array([r]))[0] * r ** d / max(p_decay - d, 0.1)
+    def osc(r):
+        return _angular_average(d, u[:, None] * r) * weighted(r)
 
-    mid = integrate_decaying(plain, r0, rtol=rtol,
-                             atol=1e-14 * abs(head) + 1e-300,
-                             first_width=max(1.0, r0), tail_bound=tail_bound)
-
-    zeros = _angular_zeros(d, 3000) / u_norm
-    zeros = zeros[zeros > r0]
-
-    def osc_f(r):
-        return _angular_average(d, u_norm * r) * env(r) * r ** (d - 1)
-
-    # the stretch up to the first sign change is not oscillatory; it can
-    # span many envelope scales when u is small, so integrate it adaptively
-    osc_pre, _ = adaptive_gk(osc_f, r0, zeros[0], rtol=rtol,
-                             atol=1e-14 * (abs(head) + abs(mid)) + 1e-300,
-                             max_intervals=16384)
-    osc_tail, _ = oscillatory_tail(
-        osc_f, zeros, rtol=rtol,
-        atol=1e-13 * (abs(head) + abs(mid)) + 1e-300)
-    return omega * (head + mid - osc_pre - osc_tail)
+    stage, radii, mid = "head", u, np.empty(u.size)
+    try:
+        head = _span_gk(lambda r: (1.0 - _angular_average(d, u[:, None] * r))
+                        * weighted(r), np.zeros_like(u), r0, rtol)
+        for r_split in np.unique(r0):
+            group, width = r0 == r_split, max(1.0, r_split)
+            stage, radii = "mid", u[group]
+            plain = _prefetched(weighted, decaying_abscissae(r_split, width))
+            mid[group] = integrate_decaying(
+                plain, r_split, rtol=rtol, first_width=width,
+                atol=1e-14 * float(np.max(np.abs(head[group]))) + 1e-300,
+                tail_bound=lambda r: plain(np.array([r]))[0] * r
+                / max(p_decay - d, 0.1))
+        stage, radii = "pre", u
+        pre = _span_gk(osc, r0, edges[:, 0], rtol)
+        stage = "tail"
+        tail, _ = oscillatory_tail(
+            osc, edges, rtol=rtol,
+            atol=1e-13 * (np.abs(head) + np.abs(mid)) + 1e-300)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"radial transform {stage} at u = "
+            f"{', '.join(f'{x:.6g}' for x in radii)}, rtol {rtol:g}: {exc}"
+        ) from exc
+    return _surface_area(d) * (head + mid - pre - tail)
 
 
 def _spectral_v(spec, radii, rtol):
     """V(rho) = 2 c T(rho) per eigen-pair at every rho > 0 of an array, with
     T the radial transform of the product of spectral amplitudes against
-    the angular average (c = C*^2 for the Bessel variant, else 1)."""
+    the angular average (c = C*^2 for the Bessel variant, else 1); one
+    radius-batched ``_radial_transform`` per eigen-pair."""
     lam, d = spec.lambda_, spec.d
 
     def pair(i, j):
@@ -523,9 +553,10 @@ def _spectral_v(spec, radii, rtol):
                 return (lam ** 2 + np.asarray(r, dtype=float) ** 2) \
                     ** (-(hi_ + hj_))
             p_decay, c = 2.0 * (hi_ + hj_), SPECTRAL_C_STAR ** 2
-        return 2.0 * c * np.array([
-            _radial_transform(env, un, d, p_decay, lam, rtol=rtol)
-            for un in radii.tolist()])
+        # 256 radii per call bound the (radii, 3000) table of kernel zeros
+        return 2.0 * c * np.concatenate([
+            _radial_transform(env, part, d, p_decay, lam, rtol=rtol)
+            for part in np.array_split(radii, -(-radii.size // 256))])
 
     return spec._assemble(pair, radii.size)
 
@@ -535,8 +566,9 @@ def itofbf_cov_spectral(spec, x, x2, rtol=1e-9):
 
     Assembles T(x) + T(x') - T(x - x') per eigen-pair, where T is the
     radial transform of the product of spectral amplitudes against the
-    angular average, with oscillation-aware panel splitting and Euler
-    acceleration of the alternating tail.
+    angular average; the three radii go through one radius-batched
+    ``_radial_transform`` (panels between the angular kernel's zeros,
+    Euler acceleration of the alternating tail).
     """
     if spec.variant != "ITOFBF":
         raise CovarianceError("itofbf_cov_spectral needs ITOFBF")

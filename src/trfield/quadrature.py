@@ -1,11 +1,16 @@
 """Shared numerical integration utilities.
 
 Adaptive Gauss-Kronrod on finite intervals (vector- and matrix-valued
-integrands), semi-infinite integration of decaying envelopes, and
-Euler-accelerated summation of oscillatory tails.  Node/weight tables are
-the classical 7-15 Gauss-Kronrod pair (QUADPACK dqk15).
+integrands); semi-infinite integration of decaying envelopes, which stops
+early once a steady algebraic tail bound cannot reach tolerance, and lists
+the abscissae it will visit so that a costly integrand can be prefetched;
+and Euler-accelerated summation of oscillatory tails, row-batched: many
+integrals share one integrand call per block of panels and each stops on
+its own rule.  Node/weight tables are the classical 7-15 Gauss-Kronrod
+pair (QUADPACK dqk15).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -114,10 +119,12 @@ def integrate_decaying(f, a, rtol=1e-10, atol=1e-13, first_width=1.0,
 
     Blocks of geometrically growing width are integrated until both the
     last block and (if supplied) the analytic ``tail_bound(R)`` drop below
-    tolerance.
+    tolerance.  Once the bound's algebraic decay rate, fitted over the last
+    three block ends, is steady to 10 %, the run fails at once if that
+    rate cannot bring the bound below tolerance by the last block.
     """
-    total, lo, width = None, a, first_width
-    for _ in range(max_blocks):
+    total, lo, width, fit = None, a, first_width, []
+    for k in range(max_blocks):
         hi = lo + width
         val, _ = adaptive_gk(f, lo, hi, rtol=rtol * 0.1, atol=atol * 0.1)
         total = val if total is None else total + val
@@ -126,86 +133,106 @@ def integrate_decaying(f, a, rtol=1e-10, atol=1e-13, first_width=1.0,
         bound = tail_bound(hi) if tail_bound is not None else block
         if block < scale and bound < scale:
             return total
+        if tail_bound is None or min(hi, bound) <= 0:
+            fit = []
+        else:
+            fit = (fit + [(math.log(hi), math.log(bound))])[-3:]
+        if len(fit) == 3:
+            (x0, y0), (x1, y1), (x2, y2) = fit
+            q = (y1 - y2) / (x2 - x1)
+            step = abs((y0 - y1) / (x1 - x0) - q)
+            # log R after the remaining blocks, of widths width * growth^j
+            x_end = np.logaddexp(x2, math.log(width) + np.logaddexp.reduce(
+                np.arange(1, max_blocks - k) * math.log(growth)))
+            # extrapolate at the rate plus its last change, against the
+            # tolerance on the total plus the bounded remainder
+            end_scale = max(atol,
+                            rtol * (float(np.max(np.abs(total))) + bound))
+            if 0 < q and step <= 0.1 * q and y2 - (q + step) * (
+                    x_end - x2) > math.log(max(end_scale, 1e-300)):
+                break
         lo = hi
         width *= growth
     raise QuadratureError(
-        f"integrate_decaying: {max_blocks} blocks to R = {hi:.3e}, last block "
+        f"integrate_decaying: {k + 1} blocks to R = {hi:.3e}, last block "
         f"{block:.3e}, tail bound {bound:.3e} above tolerance {scale:.3e}")
 
 
+def decaying_abscissae(a, first_width=1.0, growth=2.0):
+    """The abscissae ``integrate_decaying`` visits in its first 64 blocks
+    (ends and first-panel nodes), to prefetch a costly integrand."""
+    ends = np.cumsum(np.r_[a, np.cumprod(np.r_[first_width,
+                                               np.full(63, growth)])])
+    lo, hi = ends[:-1, None], ends[1:, None]
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
+    return np.r_[ends[1:], nodes.ravel()]
+
+
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n):
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    key = int(n)
-    if key not in _GL_CACHE:
-        _GL_CACHE[key] = np.polynomial.legendre.leggauss(key)
-    return _GL_CACHE[key]
-
-
-_GL_CACHE = {}
+    return np.polynomial.legendre.leggauss(int(n))
 
 
 def euler_accelerate(terms):
-    """Euler transform of a (near-)alternating series Sum(terms).
-
-    Returns (estimate, error_estimate) using the standard averaging
-    tableau on the partial sums.
-    """
-    s = np.cumsum(terms)
-    best = s[-1]
-    err = abs(terms[-1]) if len(terms) else 0.0
-    row = s.astype(float)
-    for _ in range(len(terms) - 1):
-        row = 0.5 * (row[1:] + row[:-1])
-        cand = row[-1]
-        cand_err = abs(cand - best)
-        if cand_err <= err:
-            err = cand_err
-            best = cand
-        if len(row) < 2:
-            break
+    """Euler transform of each row of an (R, n) array of (near-)alternating
+    series terms: (estimates, error estimates), each (R,), from the
+    averaging tableau on the partial sums, keeping per row the diagonal
+    entry whose increment over the best so far is smallest."""
+    row = np.cumsum(terms, axis=1)
+    best, err = row[:, -1], np.abs(terms[:, -1])
+    for _ in range(terms.shape[1] - 1):
+        row = 0.5 * (row[:, 1:] + row[:, :-1])
+        better = np.abs(row[:, -1] - best) <= err
+        err = np.where(better, np.abs(row[:, -1] - best), err)
+        best = np.where(better, row[:, -1], best)
     return best, err
 
 
-def oscillatory_tail(f, edges_iter, rtol=1e-10, atol=1e-14, n_gl=16,
+def oscillatory_tail(f, edges, rtol=1e-10, atol=1e-14, n_gl=16,
                      max_panels=4000, min_panels=12, window=96):
-    """Sum integral panels between successive zeros of an oscillating factor.
+    """Per row of ``edges`` (R, K), the sum of the integrals of ``f`` over
+    the panels between successive breakpoints of that row.
 
-    ``edges_iter`` yields an increasing sequence of breakpoints; the panel
-    integrals form a (near-)alternating series.  The settled prefix is
-    summed exactly and the last ``window`` terms go through the Euler
-    averaging tableau, whose diagonal increment supplies the error
-    estimate.
+    A row's panel integrals form a (near-)alternating series.  Panels are
+    integrated by ``n_gl``-point Gauss-Legendre in blocks of 16 for all
+    rows, one ``f`` call per block on an (R, 16 n_gl) array of abscissae.
+    Each row replays the sequential stopping rule: every 4 panels from
+    ``min_panels`` on, the settled prefix is summed exactly and the last
+    ``window`` terms go through ``euler_accelerate``; a row is done after
+    two passes in a row with error below max(atol, rtol |total|) (``atol``
+    scalar or per row), or within 100 times that once the panels run out.
+    Returns (values, error estimates), each (R,).
     """
     x0, w0 = gauss_legendre(n_gl)
-    terms, prev, streak = [], None, 0
-    for edge in edges_iter:
-        if prev is None:
-            prev = edge
-            continue
-        mid, half = 0.5 * (edge + prev), 0.5 * (edge - prev)
-        nodes = mid + half * x0
-        terms.append(half * float(np.dot(w0, f(nodes))))
-        prev = edge
-        if len(terms) >= min_panels and len(terms) % 4 == 0:
-            w = min(len(terms), window)
-            prefix = float(np.sum(terms[:-w]))
-            best, err = euler_accelerate(np.array(terms[-w:]))
-            total = prefix + best
-            scale = max(atol, rtol * abs(total))
-            streak = streak + 1 if err < scale else 0
-            if streak >= 2:
-                return total, err
-        if len(terms) >= max_panels:
-            break
-    err, scale = math.inf, atol
-    if terms:
-        w = min(len(terms), window)
-        prefix = float(np.sum(terms[:-w]))
-        best, err = euler_accelerate(np.array(terms[-w:]))
-        total = prefix + best
-        scale = max(atol, rtol * max(abs(total), 1e-300))
-        if err < 100 * scale:
+    rows, n_max = edges.shape[0], min(edges.shape[1] - 1, max_panels)
+    total, err, streak = np.zeros(rows), np.full(rows, math.inf), 0
+    terms, done = np.zeros((rows, 0)), np.zeros(rows, dtype=bool)
+    checks = [*range(4 * math.ceil(min_panels / 4), n_max + 1, 4), n_max]
+    for i, m in enumerate(checks):
+        while terms.shape[1] < m:
+            n = terms.shape[1]
+            k = min(n + 16, edges.shape[1] - 1)
+            lo, hi = edges[:, n:k], edges[:, n + 1:k + 1]
+            half = 0.5 * (hi - lo)
+            nodes = (0.5 * (hi + lo))[..., None] + half[..., None] * x0
+            fx = np.asarray(f(nodes.reshape(rows, -1))).reshape(nodes.shape)
+            terms = np.concatenate([terms, half * (fx @ w0)], axis=1)
+        w = min(m, window)
+        best, e = euler_accelerate(terms[:, m - w:m])
+        tot = terms[:, :m - w].sum(axis=1) + best
+        scale = np.maximum(atol, rtol * np.maximum(np.abs(tot), 1e-300))
+        if i == len(checks) - 1:
+            ok = done | (e < 100 * scale)
+            if not ok.all():
+                j = int(np.argmin(ok))
+                raise QuadratureError(
+                    f"oscillatory_tail: {m} panels, error estimate "
+                    f"{e[j]:.3e} above tolerance {100 * scale[j]:.3e} "
+                    f"(row {j})")
+            return np.where(done, total, tot), np.where(done, err, e)
+        streak = np.where(e < scale, streak + 1, 0)
+        new = (streak >= 2) & ~done
+        total[new], err[new], done = tot[new], e[new], done | new
+        if done.all():
             return total, err
-    raise QuadratureError(
-        f"oscillatory_tail: {len(terms)} panels, error estimate {err:.3e} "
-        f"above tolerance {100 * scale:.3e}")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from trfield.covariance import (CovarianceError, CovarianceModel,
                                 itofbf_spectral_density, itofbf_variance,
                                 tfbm_cov, tfbm_variogram)
 from trfield.quadrature import (QuadratureError, adaptive_gk,
-                                integrate_decaying)
+                                gauss_legendre, integrate_decaying)
 from trfield.specfun import gamma_fn, hyp2f1
 
 
@@ -598,3 +599,136 @@ def test_spectral_integral_d2_small_h_failure_names_tolerance():
                        match=r"integrate_decaying: \d+ blocks.*above "
                              r"tolerance \d\.\d{3}e[-+]\d+"):
         model.gram(np.array([[0.3, 0.1], [0.5, -0.2]]))
+
+
+def test_spectral_integral_d2_small_h_fails_fast():
+    # the radial tail bound decays as R^{-2h} = R^{-0.1}: the run stops as
+    # soon as that rate is steady instead of doubling R out to 1e60
+    spec = IsotropicGaussianSpec("ITOFBF", 2, 1, 0.52, [[0.05]])
+    model = CovarianceModel(spec, method="spectral_integral")
+    with pytest.raises(QuadratureError, match=r"radial transform mid .*"
+                       r"integrate_decaying: (\d+) blocks") as info:
+        model.gram(np.array([[0.3, 0.1], [0.5, -0.2]]))
+    blocks = int(re.search(r"integrate_decaying: (\d+) blocks",
+                           str(info.value)).group(1))
+    assert blocks <= 30
+
+
+# Per-radius radial transform as it stood before the radius-batched one:
+# the accuracy oracle for cov._radial_transform.
+
+def _oracle_euler(terms):
+    s = np.cumsum(terms)
+    best, err, row = s[-1], abs(terms[-1]), s
+    for _ in range(len(terms) - 1):
+        row = 0.5 * (row[1:] + row[:-1])
+        if abs(row[-1] - best) <= err:
+            err, best = abs(row[-1] - best), row[-1]
+    return best, err
+
+
+def _oracle_tail(f, edges, rtol, atol, window=96):
+    x0, w0 = gauss_legendre(16)
+    terms, streak = [], 0
+    for prev, edge in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (edge + prev), 0.5 * (edge - prev)
+        terms.append(half * float(np.dot(w0, f(mid + half * x0))))
+        if len(terms) >= 12 and len(terms) % 4 == 0:
+            w = min(len(terms), window)
+            best, err = _oracle_euler(np.array(terms[-w:]))
+            total = float(np.sum(terms[:-w])) + best
+            streak = streak + 1 if err < max(atol, rtol * abs(total)) else 0
+            if streak >= 2:
+                return total
+    raise QuadratureError("oracle tail did not converge")
+
+
+def _oracle_radial_transform(env, u, d, p_decay, head_scale, rtol):
+    avg = cov._angular_average
+
+    def head_f(r):
+        return (1.0 - avg(d, u * r)) * env(r) * r ** (d - 1)
+
+    def plain(r):
+        return env(r) * r ** (d - 1)
+
+    def osc_f(r):
+        return avg(d, u * r) * env(r) * r ** (d - 1)
+
+    r0 = min(max(2.0 * head_scale, 1.0), 40.0 / u)
+    head, _ = adaptive_gk(head_f, 0.0, r0, rtol=rtol, atol=1e-300,
+                          max_intervals=16384)
+    mid = integrate_decaying(
+        plain, r0, rtol=rtol, atol=1e-14 * abs(head) + 1e-300,
+        first_width=max(1.0, r0), tail_bound=lambda r: env(np.array([r]))[0]
+        * r ** d / max(p_decay - d, 0.1))
+    zeros = cov._angular_zeros(d, 3000) / u
+    zeros = zeros[zeros > r0]
+    pre, _ = adaptive_gk(osc_f, r0, zeros[0], rtol=rtol,
+                         atol=1e-14 * (abs(head) + abs(mid)) + 1e-300,
+                         max_intervals=16384)
+    tail = _oracle_tail(osc_f, zeros, rtol,
+                        1e-13 * (abs(head) + abs(mid)) + 1e-300)
+    return cov._surface_area(d) * (head + mid - pre - tail)
+
+
+def _envelope(variant, d, h, lam):
+    """Product of spectral amplitudes for one eigenvalue, and its decay."""
+    if variant == "ITOFBF":
+        return (lambda r: cov._itofbf_density_scalar(h, lam, d, r) ** 2,
+                d + 2.0 * h)
+    return lambda r: (lam ** 2 + r ** 2) ** (-2.0 * h), 4.0 * h
+
+
+# radius 100 has its own split point r0 = 40/100
+ORACLE_RADII = np.array([1 / 64, 1 / 16, 0.25, 0.5, 1.0, 2.0, 8.0, 100.0])
+
+
+@pytest.mark.parametrize("variant,d,h", [
+    ("ITOFBF", 1, 0.7), ("ITOFBF", 2, 0.4), ("ITOFBF", 3, 0.7),
+    ("IBTOFBF", 1, 0.6), ("IBTOFBF", 2, 0.7), ("IBTOFBF", 3, 0.9)])
+def test_radial_transform_matches_per_radius_oracle(variant, d, h):
+    env, p_decay = _envelope(variant, d, h, 0.5)
+    batched = cov._radial_transform(env, ORACLE_RADII, d, p_decay, 0.5,
+                                    rtol=1e-9)
+    old, truth = (np.array([
+        _oracle_radial_transform(env, u, d, p_decay, 0.5, rtol)
+        for u in ORACLE_RADII]) for rtol in (1e-9, 1e-12))
+    np.testing.assert_allclose(batched, old, rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(batched - truth) <= 1.1 * np.abs(old - truth))
+
+
+@pytest.mark.parametrize("stage,target", [
+    ("head", "adaptive_gk"), ("mid", "integrate_decaying"),
+    ("pre", "adaptive_gk"), ("tail", "oscillatory_tail")])
+def test_radial_transform_failure_names_stage(monkeypatch, stage, target):
+    # head and pre are the first and second adaptive_gk calls of the module
+    real, calls = getattr(cov, target), []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if stage != "pre" or len(calls) == 2:
+            raise QuadratureError("forced failure above tolerance 1.000e-09")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cov, target, failing)
+    env, p_decay = _envelope("ITOFBF", 1, 0.7, 0.5)
+    with pytest.raises(QuadratureError,
+                       match=rf"radial transform {stage} at u = 0\.5, 2, "
+                             r"rtol 1e-09: forced failure above tolerance"):
+        cov._radial_transform(env, np.array([0.5, 2.0]), 1, p_decay, 0.5)
+
+
+def test_spectral_v_batches_density_calls(monkeypatch):
+    # one 2F1 batch per stage pass, not one per radius, panel and block
+    calls = []
+    real = cov.hyp2f1_batch
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cov, "hyp2f1_batch", counting)
+    spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 0.52, [[0.75]])
+    cov._spectral_v(spec, np.array([0.47, 0.53, 1.0]), 1e-6)
+    assert len(calls) <= 12

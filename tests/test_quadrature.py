@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from trfield.quadrature import (QuadratureError, adaptive_gk,
-                                euler_accelerate, integrate_decaying,
-                                oscillatory_tail)
+                                decaying_abscissae, euler_accelerate,
+                                integrate_decaying, oscillatory_tail)
 
 
 def test_adaptive_gk_polynomial_exact():
@@ -55,17 +55,24 @@ def test_integrate_decaying_gaussian_tail():
 
 
 def test_euler_accelerate_log2():
-    terms = np.array([(-1.0) ** k / (k + 1.0) for k in range(30)])
+    # rows: log 2 = 1 - 1/2 + 1/3 - ... and pi/4 = 1 - 1/3 + 1/5 - ...
+    k = np.arange(30)
+    terms = np.stack([(-1.0) ** k / (k + 1.0), (-1.0) ** k / (2 * k + 1.0)])
     est, err = euler_accelerate(terms)
-    assert abs(est - math.log(2.0)) < 1e-9
+    assert est.shape == err.shape == (2,)
+    assert abs(est[0] - math.log(2.0)) < 1e-9
+    assert abs(est[1] - math.pi / 4) < 1e-9
 
 
 def test_oscillatory_tail_known_cosine_integral():
-    # int_0^inf cos(x)/(1+x^2) dx = pi/(2 e)
-    edges = (np.arange(4000) + 0.5) * math.pi
-    val, err = oscillatory_tail(lambda x: np.cos(x) / (1 + x * x),
-                                np.concatenate([[0.0], edges]), rtol=1e-11)
-    assert abs(val - math.pi / (2 * math.e)) < 1e-10
+    # int_0^inf cos(x)/(c^2+x^2) dx = pi e^{-c} / (2c), for c = 1 and 2
+    c = np.array([1.0, 2.0])
+    edges = np.concatenate([[0.0], (np.arange(4000) + 0.5) * math.pi])
+    val, err = oscillatory_tail(
+        lambda x: np.cos(x) / (c[:, None] ** 2 + x * x),
+        np.stack([edges, edges]), rtol=1e-11)
+    assert val.shape == err.shape == (2,)
+    assert np.all(np.abs(val - math.pi * np.exp(-c) / (2 * c)) < 1e-10)
 
 
 def test_integrate_decaying_failure_names_tolerance():
@@ -78,8 +85,53 @@ def test_integrate_decaying_failure_names_tolerance():
 
 def test_oscillatory_tail_failure_names_tolerance():
     # a constant integrand gives a divergent, non-alternating panel series
-    edges = np.arange(41.0)
+    edges = np.stack([np.arange(41.0), np.arange(41.0)])
     with pytest.raises(QuadratureError,
                        match=r"40 panels, error estimate .* above tolerance "
                              r"\d\.\d{3}e[-+]\d+"):
         oscillatory_tail(np.ones_like, edges, max_panels=40)
+
+
+def test_oscillatory_tail_rows_stop_independently():
+    # a row that converges early keeps its value when another row needs
+    # more panels, and every row equals a one-row call
+    c = np.array([1.0, 0.05])
+    edges = np.concatenate([[0.0], (np.arange(4000) + 0.5) * math.pi])
+    both, _ = oscillatory_tail(
+        lambda x: np.cos(x) * np.exp(-c[:, None] * x) / (1 + x),
+        np.stack([edges, edges]), rtol=1e-12)
+    for i in range(2):
+        one, _ = oscillatory_tail(
+            lambda x: np.cos(x) * np.exp(-c[i] * x) / (1 + x),
+            edges[None, :], rtol=1e-12)
+        assert both[i] == pytest.approx(one[0], rel=1e-15)
+
+
+def test_integrate_decaying_fails_fast_on_slow_algebraic_tail():
+    # (1 + x)^{-1.05}: the tail bound decays as R^{-0.05} and cannot reach
+    # 1e-9 within 200 doublings; the run stops once that rate is steady
+    with pytest.raises(QuadratureError,
+                       match=r"integrate_decaying: (\d) blocks to R = .*"
+                             r"above tolerance \d\.\d{3}e[-+]\d+"):
+        integrate_decaying(lambda x: (1.0 + x) ** -1.05, 0.0, rtol=1e-9,
+                           tail_bound=lambda r: 20.0 * (1.0 + r) ** -0.05)
+
+
+def test_integrate_decaying_visits_only_prefetchable_abscissae():
+    # every block of (1+x)^-3 converges on its first panel at rtol 1e-6, so
+    # each integrand abscissa and each tail-bound argument is prefetchable
+    seen = []
+
+    def f(x):
+        seen.extend(x.tolist())
+        return (1.0 + x) ** -3.0
+
+    def tail_bound(r):
+        seen.append(r)
+        return 0.5 * (1.0 + r) ** -2.0
+
+    val = integrate_decaying(f, 2.0, rtol=1e-6, first_width=2.0,
+                             tail_bound=tail_bound)
+    assert val == pytest.approx(0.5 / 3.0 ** 2, rel=1e-6)
+    assert len(seen) > 100
+    assert set(seen) <= set(decaying_abscissae(2.0, 2.0).tolist())

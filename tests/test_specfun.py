@@ -111,6 +111,21 @@ def test_kv_batch_large_order_mpmath_oracle(nu):
     np.testing.assert_allclose(got[finite], expect[finite], rtol=1e-12)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.3, 2.7, 4.2,
+                                10.0, 30.0, 60.0, 100.0, 150.0])
+def test_kv_batch_scipy_oracle(nu):
+    # the orders and arguments of the two mpmath oracle tests above, against
+    # a second, independent K_nu; entries that under- or overflow are skipped
+    special = pytest.importorskip("scipy.special")
+    u = np.concatenate([np.geomspace(2.0, 700.0, 97),
+                        [np.nextafter(2.0, 3.0), 2.0 + 1e-7, 699.99],
+                        [2.5, 5.0, 20.0, 50.0, 200.0]])
+    expect = special.kv(nu, u)
+    finite = np.isfinite(expect) & (expect > 0.0)
+    np.testing.assert_allclose(_fast.kv_batch(nu, u)[finite],
+                               expect[finite], rtol=1e-12)
+
+
 @pytest.mark.parametrize("nu", [102.0, 150.0, 200.0, 400.0])
 def test_kv_batch_large_order_has_no_nan(nu):
     # small u share a chunk's nodes with large ones; K_nu overflows to inf
