@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .quadrature import (QuadratureError, adaptive_gk, decaying_abscissae,
-                         gauss_legendre, integrate_decaying, oscillatory_tail)
+from .quadrature import (QuadratureError, adaptive_gk, gauss_legendre,
+                         integrate_decaying, oscillatory_tail)
 from .specfun import (bessel_j_batch, bessel_k_batch, beta_fn,
                       gamma_fn, hyp2f1_batch)
 
@@ -214,7 +214,7 @@ def _t_integral(a, b, s):
 
     tail = integrate_decaying(
         f, 1.0, rtol=1e-13, atol=1e-300 + 1e-15 * float(np.max(np.abs(head))),
-        first_width=1.0, growth=2.0, tail_bound=tail_bound)
+        first_width=1.0, tail_bound=tail_bound)
     return head + tail
 
 
@@ -455,10 +455,9 @@ def _angular_zeros(d, k_max):
 
 
 def _span_gk(g, a, b, rtol):
-    """int_{a_j}^{b_j} g(r)_j dr for every row j of g's (J, m) abscissae:
-    one vector-valued adaptive_gk over t in [0, 1], r = a + t (b - a), with
-    each row scaled by its 8-point Gauss-Legendre estimate so that the
-    shared error test is relative for every row."""
+    """int_{a_j}^{b_j} g(r)_j dr for every row j of g's (J, m) abscissae: one
+    adaptive_gk over t in [0, 1], r = a + t (b - a), each row scaled by its
+    8-point Gauss-Legendre estimate so the shared error test is relative."""
     def f(t):
         return ((b - a)[:, None] * g(a[:, None] + (b - a)[:, None] * t)).T
 
@@ -470,29 +469,14 @@ def _span_gk(g, a, b, rtol):
     return val * est
 
 
-def _prefetched(fn, points):
-    """``fn`` on 1-d arrays, with its values at ``points`` computed in one
-    call up front; a request with any other abscissa calls ``fn``."""
-    table = dict(zip(points.tolist(), fn(points).tolist()))
-
-    def f(r):
-        vals = [table.get(x) for x in r.tolist()]
-        return fn(r) if None in vals else np.array(vals)
-    return f
-
-
 def _radial_transform(env, u, d, p_decay, head_scale, rtol=1e-9):
     """T(u) = omega_{d-1} int_0^inf (1 - A_d(u r)) env(r) r^{d-1} dr at every
-    u > 0 of an array, as head + mid - pre - tail.
-
-    Radii are grouped by r0 = min(max(2 head_scale, 1), 40/u), and ``mid``
-    = int_{r0}^inf env r^{d-1} dr is computed once per group, with env
-    prefetched at the abscissae of its first 64 blocks.  ``head`` (1 - A_d
-    against env on [0, r0]) and ``pre`` (A_d against env from r0 to the
-    first zero of A_d(u r) beyond it) are one ``_span_gk`` each for all
-    radii; ``tail`` sums the panels between the later zeros, one env call
-    per block of panels for all radii.  A QuadratureError names the
-    stage, the radii and the tolerance.
+    u > 0 of an array, as head + mid - pre - tail.  Radii are grouped by
+    r0 = min(max(2 head_scale, 1), 40/u); ``mid`` (env r^{d-1} beyond r0)
+    runs once per group, ``head`` (1 - A_d on [0, r0]) and ``pre`` (A_d from
+    r0 to its next zero) are one ``_span_gk`` each, and ``tail`` (panels
+    between later zeros) takes one env call per block of panels, for all
+    radii.  A QuadratureError names the stage, radii and tolerance.
     """
     r0 = np.minimum(max(2.0 * head_scale, 1.0), 40.0 / u)
     zeros = _angular_zeros(d, 3000)[None, :] / u[:, None]
@@ -511,14 +495,12 @@ def _radial_transform(env, u, d, p_decay, head_scale, rtol=1e-9):
         head = _span_gk(lambda r: (1.0 - _angular_average(d, u[:, None] * r))
                         * weighted(r), np.zeros_like(u), r0, rtol)
         for r_split in np.unique(r0):
-            group, width = r0 == r_split, max(1.0, r_split)
+            group = r0 == r_split
             stage, radii = "mid", u[group]
-            plain = _prefetched(weighted, decaying_abscissae(r_split, width))
             mid[group] = integrate_decaying(
-                plain, r_split, rtol=rtol, first_width=width,
+                weighted, r_split, rtol=rtol, first_width=max(1.0, r_split),
                 atol=1e-14 * float(np.max(np.abs(head[group]))) + 1e-300,
-                tail_bound=lambda r: plain(np.array([r]))[0] * r
-                / max(p_decay - d, 0.1))
+                tail_rate=max(p_decay - d, 0.1))
         stage, radii = "pre", u
         pre = _span_gk(osc, r0, edges[:, 0], rtol)
         stage = "tail"
@@ -534,10 +516,9 @@ def _radial_transform(env, u, d, p_decay, head_scale, rtol=1e-9):
 
 
 def _spectral_v(spec, radii, rtol):
-    """V(rho) = 2 c T(rho) per eigen-pair at every rho > 0 of an array, with
-    T the radial transform of the product of spectral amplitudes against
-    the angular average (c = C*^2 for the Bessel variant, else 1); one
-    radius-batched ``_radial_transform`` per eigen-pair."""
+    """V(rho) = 2 c T(rho) per eigen-pair at every rho > 0 of an array, T the
+    radial transform of the product of spectral amplitudes, one call of
+    ``_radial_transform`` for all radii (c = C*^2 for IBTOFBF, else 1)."""
     lam, d = spec.lambda_, spec.d
 
     def pair(i, j):
@@ -564,11 +545,9 @@ def _spectral_v(spec, radii, rtol):
 def itofbf_cov_spectral(spec, x, x2, rtol=1e-9):
     """Covariance through the harmonizable representation.
 
-    Assembles T(x) + T(x') - T(x - x') per eigen-pair, where T is the
-    radial transform of the product of spectral amplitudes against the
-    angular average; the three radii go through one radius-batched
-    ``_radial_transform`` (panels between the angular kernel's zeros,
-    Euler acceleration of the alternating tail).
+    Assembles T(x) + T(x') - T(x - x') per eigen-pair, T the radial
+    transform of the product of spectral amplitudes against the angular
+    average, with the three radii in one ``_radial_transform`` call.
     """
     if spec.variant != "ITOFBF":
         raise CovarianceError("itofbf_cov_spectral needs ITOFBF")

@@ -1,13 +1,9 @@
 """Shared numerical integration utilities.
 
 Adaptive Gauss-Kronrod on finite intervals (vector- and matrix-valued
-integrands); semi-infinite integration of decaying envelopes, which stops
-early once a steady algebraic tail bound cannot reach tolerance, and lists
-the abscissae it will visit so that a costly integrand can be prefetched;
-and Euler-accelerated summation of oscillatory tails, row-batched: many
-integrals share one integrand call per block of panels and each stops on
-its own rule.  Node/weight tables are the classical 7-15 Gauss-Kronrod
-pair (QUADPACK dqk15).
+integrands), semi-infinite integration of decaying envelopes, and
+Euler-accelerated summation of row-batched oscillatory tails.  Node/weight
+tables are the classical 7-15 Gauss-Kronrod pair (QUADPACK dqk15).
 """
 
 import functools
@@ -38,13 +34,17 @@ _GW = np.zeros(15)
 _GW[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])        # Gauss weights
 
 
+def _gk15_nodes(lo, hi):
+    """The 15 Kronrod abscissae of each panel [lo_j, hi_j], (J, 15)."""
+    return 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
+
+
 def _gk15_batch(f, lo, hi):
     """Vectorized Gauss-Kronrod panels over arrays of interval edges."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    x = _gk15_nodes(lo, hi)
     fx = np.asarray(f(x.ravel()))
     fx = fx.reshape(x.shape + fx.shape[1:])
     hshape = (len(half),) + (1,) * (fx.ndim - 2)
@@ -114,18 +114,31 @@ class QuadratureError(RuntimeError):
 
 
 def integrate_decaying(f, a, rtol=1e-10, atol=1e-13, first_width=1.0,
-                       growth=2.0, max_blocks=200, tail_bound=None):
+                       max_blocks=200, tail_bound=None, tail_rate=None):
     """Integrate ``f`` on [a, inf) for an eventually-decaying integrand.
 
-    Blocks of geometrically growing width are integrated until both the
-    last block and (if supplied) the analytic ``tail_bound(R)`` drop below
-    tolerance.  Once the bound's algebraic decay rate, fitted over the last
-    three block ends, is steady to 10 %, the run fails at once if that
-    rate cannot bring the bound below tolerance by the last block.
+    Blocks of doubling width are integrated until both the last block and
+    the tail bound drop below tolerance: ``tail_bound(R)``, or f(R) R / q
+    for ``tail_rate`` q (decay like R^{-1-q}; such tails run dozens of
+    blocks, so f is then called once up front on the ends and first-panel
+    nodes of the first 64).  The run fails early once the bound's log-log
+    slope over the last three block ends is steady to 10 % and still cannot
+    reach tolerance by the last block.
     """
-    total, lo, width, fit = None, a, first_width, []
-    for k in range(max_blocks):
-        hi = lo + width
+    ends = np.cumsum(np.r_[a, first_width * 2.0 ** np.arange(max_blocks)])
+    if tail_rate is not None:
+        pts = np.sort(np.r_[ends[1:65],
+                            _gk15_nodes(ends[:-1][:64], ends[1:65]).ravel()])
+        fn, vals = f, f(pts)
+
+        def f(x):  # from the up-front call when every x is among pts
+            i = np.minimum(np.searchsorted(pts, x), pts.size - 1)
+            return vals[i] if np.array_equal(pts[i], x) else fn(x)
+
+        def tail_bound(r):
+            return f(np.array([r]))[0] * r / tail_rate
+    total, fit = None, []
+    for k, (lo, hi) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
         val, _ = adaptive_gk(f, lo, hi, rtol=rtol * 0.1, atol=atol * 0.1)
         total = val if total is None else total + val
         scale = max(atol, rtol * float(np.max(np.abs(total))))
@@ -133,39 +146,22 @@ def integrate_decaying(f, a, rtol=1e-10, atol=1e-13, first_width=1.0,
         bound = tail_bound(hi) if tail_bound is not None else block
         if block < scale and bound < scale:
             return total
-        if tail_bound is None or min(hi, bound) <= 0:
-            fit = []
-        else:
-            fit = (fit + [(math.log(hi), math.log(bound))])[-3:]
+        fit = [] if tail_bound is None or min(hi, bound) <= 0 else \
+            (fit + [(math.log(hi), math.log(bound))])[-3:]
         if len(fit) == 3:
             (x0, y0), (x1, y1), (x2, y2) = fit
             q = (y1 - y2) / (x2 - x1)
             step = abs((y0 - y1) / (x1 - x0) - q)
-            # log R after the remaining blocks, of widths width * growth^j
-            x_end = np.logaddexp(x2, math.log(width) + np.logaddexp.reduce(
-                np.arange(1, max_blocks - k) * math.log(growth)))
-            # extrapolate at the rate plus its last change, against the
-            # tolerance on the total plus the bounded remainder
-            end_scale = max(atol,
+            # extrapolate to the last block's end at the rate plus its last
+            # change, against the tolerance on the total plus the remainder
+            end_scale = max(atol, 1e-300,
                             rtol * (float(np.max(np.abs(total))) + bound))
             if 0 < q and step <= 0.1 * q and y2 - (q + step) * (
-                    x_end - x2) > math.log(max(end_scale, 1e-300)):
+                    math.log(ends[-1]) - x2) > math.log(end_scale):
                 break
-        lo = hi
-        width *= growth
     raise QuadratureError(
         f"integrate_decaying: {k + 1} blocks to R = {hi:.3e}, last block "
         f"{block:.3e}, tail bound {bound:.3e} above tolerance {scale:.3e}")
-
-
-def decaying_abscissae(a, first_width=1.0, growth=2.0):
-    """The abscissae ``integrate_decaying`` visits in its first 64 blocks
-    (ends and first-panel nodes), to prefetch a costly integrand."""
-    ends = np.cumsum(np.r_[a, np.cumprod(np.r_[first_width,
-                                               np.full(63, growth)])])
-    lo, hi = ends[:-1, None], ends[1:, None]
-    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES
-    return np.r_[ends[1:], nodes.ravel()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,9 +172,8 @@ def gauss_legendre(n):
 
 def euler_accelerate(terms):
     """Euler transform of each row of an (R, n) array of (near-)alternating
-    series terms: (estimates, error estimates), each (R,), from the
-    averaging tableau on the partial sums, keeping per row the diagonal
-    entry whose increment over the best so far is smallest."""
+    series terms: (estimates, error estimates), each (R,), from the averaging
+    tableau, keeping the diagonal entry of smallest increment per row."""
     row = np.cumsum(terms, axis=1)
     best, err = row[:, -1], np.abs(terms[:, -1])
     for _ in range(terms.shape[1] - 1):
@@ -191,18 +186,13 @@ def euler_accelerate(terms):
 
 def oscillatory_tail(f, edges, rtol=1e-10, atol=1e-14, n_gl=16,
                      max_panels=4000, min_panels=12, window=96):
-    """Per row of ``edges`` (R, K), the sum of the integrals of ``f`` over
-    the panels between successive breakpoints of that row.
-
-    A row's panel integrals form a (near-)alternating series.  Panels are
-    integrated by ``n_gl``-point Gauss-Legendre in blocks of 16 for all
-    rows, one ``f`` call per block on an (R, 16 n_gl) array of abscissae.
-    Each row replays the sequential stopping rule: every 4 panels from
-    ``min_panels`` on, the settled prefix is summed exactly and the last
-    ``window`` terms go through ``euler_accelerate``; a row is done after
-    two passes in a row with error below max(atol, rtol |total|) (``atol``
-    scalar or per row), or within 100 times that once the panels run out.
-    Returns (values, error estimates), each (R,).
+    """Per row of ``edges`` (R, K), the (values, error estimates) of the
+    (near-)alternating series of ``f``'s integrals over the panels between
+    the row's breakpoints: ``n_gl``-point Gauss-Legendre, one ``f`` call per
+    block of 16 panels for all rows.  Every 4 panels from ``min_panels`` on,
+    a row sums its settled prefix and puts the last ``window`` terms through
+    ``euler_accelerate``; it is done after two passes in a row with error
+    below max(atol, rtol |total|), or below 100 times that at the end.
     """
     x0, w0 = gauss_legendre(n_gl)
     rows, n_max = edges.shape[0], min(edges.shape[1] - 1, max_panels)
@@ -212,8 +202,7 @@ def oscillatory_tail(f, edges, rtol=1e-10, atol=1e-14, n_gl=16,
     for i, m in enumerate(checks):
         while terms.shape[1] < m:
             n = terms.shape[1]
-            k = min(n + 16, edges.shape[1] - 1)
-            lo, hi = edges[:, n:k], edges[:, n + 1:k + 1]
+            lo, hi = edges[:, n:n + 17][:, :-1], edges[:, n + 1:n + 17]
             half = 0.5 * (hi - lo)
             nodes = (0.5 * (hi + lo))[..., None] + half[..., None] * x0
             fx = np.asarray(f(nodes.reshape(rows, -1))).reshape(nodes.shape)

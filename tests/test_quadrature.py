@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trfield.quadrature import (QuadratureError, adaptive_gk,
-                                decaying_abscissae, euler_accelerate,
+                                euler_accelerate,
                                 integrate_decaying, oscillatory_tail)
 
 
@@ -117,21 +117,19 @@ def test_integrate_decaying_fails_fast_on_slow_algebraic_tail():
                            tail_bound=lambda r: 20.0 * (1.0 + r) ** -0.05)
 
 
-def test_integrate_decaying_visits_only_prefetchable_abscissae():
-    # every block of (1+x)^-3 converges on its first panel at rtol 1e-6, so
-    # each integrand abscissa and each tail-bound argument is prefetchable
-    seen = []
+def test_integrate_decaying_tail_rate_calls_integrand_once():
+    # int_2^inf x^-3 = 1/8 with tail f(R) R / 2 exact: every block converges
+    # on its first panel at rtol 1e-6, so the up-front call serves them all
+    calls = []
 
     def f(x):
-        seen.extend(x.tolist())
-        return (1.0 + x) ** -3.0
-
-    def tail_bound(r):
-        seen.append(r)
-        return 0.5 * (1.0 + r) ** -2.0
+        calls.append(x.size)
+        return x ** -3.0
 
     val = integrate_decaying(f, 2.0, rtol=1e-6, first_width=2.0,
-                             tail_bound=tail_bound)
-    assert val == pytest.approx(0.5 / 3.0 ** 2, rel=1e-6)
-    assert len(seen) > 100
-    assert set(seen) <= set(decaying_abscissae(2.0, 2.0).tolist())
+                             tail_rate=2.0)
+    assert val == pytest.approx(0.125, rel=1e-6)
+    assert calls == [64 * 16]
+    assert val == integrate_decaying(lambda x: x ** -3.0, 2.0, rtol=1e-6,
+                                     first_width=2.0,
+                                     tail_bound=lambda r: 0.5 * r ** -2.0)
