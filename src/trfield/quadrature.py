@@ -35,8 +35,9 @@ _GW[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])        # Gauss weights
 
 
 def _gk15_nodes(lo, hi):
-    """The 15 Kronrod abscissae of each panel [lo_j, hi_j], (J, 15)."""
-    return 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
+    """The 15 Kronrod abscissae of each panel [lo_j, hi_j], (J, 15); the
+    (J, 15) product comes first so that numpy adds into it in place."""
+    return (0.5 * (hi - lo))[:, None] * _NODES + (0.5 * (lo + hi))[:, None]
 
 
 def _gk15_batch(f, lo, hi):
