@@ -67,7 +67,7 @@ def adaptive_gk(f, a, b, rtol=1e-10, atol=1e-13, max_intervals=4096,
     evaluation.
 
     Returns (value, error_estimate); raises QuadratureError when the
-    requested tolerance cannot be certified.
+    requested tolerance cannot be certified or the estimate is not finite.
     """
     edges = np.array([a] + sorted(p for p in points if a < p < b) + [b])
     lo = edges[:-1].copy()
@@ -77,6 +77,11 @@ def adaptive_gk(f, a, b, rtol=1e-10, atol=1e-13, max_intervals=4096,
     while True:
         total = vals.sum(axis=0)
         total_err = float(errs.sum()) + frozen_err
+        if not (math.isfinite(total_err) and np.all(np.isfinite(total))):
+            raise QuadratureError(
+                f"adaptive_gk: non-finite estimate {total} (error "
+                f"{total_err}) on [{a}, {b}]: the integrand returned NaN "
+                "or inf")
         scale = max(atol, rtol * float(np.max(np.abs(total))))
         if total_err <= scale:
             return total, total_err

@@ -4,9 +4,12 @@ and moving-average Riemann sums driven by Gaussian or SaS noise.
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id), so draws are reproducible and order-independent:
 stream j feeds the noise of draw j, whatever the number of draws.
-Every method multiplies one dense real matrix (Cholesky factor, phase
-matrix or moving-average kernel matrix) by per-draw noise columns; one
-engine, ``_draw_products``, runs them all, one GEMM per block of draws.
+Exact, moving-average and stable synthesis multiply one dense real matrix
+(Cholesky factor or kernel matrix) by per-draw noise columns; one engine,
+``_draw_products``, runs them all, one GEMM per block of draws.  Spectral
+synthesis builds no matrix: both grids are arithmetic progressions, so
+its frequency sum is a chirp-z transform on the line and a chain of small
+per-axis phase matrices on product grids.
 
 Realizations persist in a small binary container: magic ``TRF1``, a
 little-endian uint32 header length, a UTF-8 JSON header, then the
@@ -34,7 +37,7 @@ __all__ = [
 
 EXACT_SITE_CAP = 16384
 _MAGIC = b"TRF1"
-_NOISE_BLOCK_BYTES = 32 << 20       # noise per GEMM block of draws
+_NOISE_BLOCK_BYTES = 32 << 20       # noise (spectral: work) per block
 
 
 class SimulationError(RuntimeError):
@@ -47,6 +50,12 @@ class SimulationToleranceError(SimulationError):
 
 class SimulationConfigError(SimulationError):
     """A grid or a seed that violates the config schema (the CLI exits 2)."""
+
+
+def _mesh(axes):
+    """(N, d) points of the product of 1-d ``axes``, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 class GridSpec:
@@ -86,15 +95,12 @@ class GridSpec:
 
     def sites(self):
         """(N, d) site coordinates, row-major (last axis fastest)."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _mesh(self.axes())
 
     def midpoints(self):
         """(M, d) cell midpoints (offset grid used for Riemann sums)."""
-        axes = [lo + (np.arange(c - 1) + 0.5) * (hi - lo) / (c - 1)
-                for (lo, hi), c in zip(self.ranges, self.counts)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _mesh([lo + (np.arange(c - 1) + 0.5) * (hi - lo) / (c - 1)
+                      for (lo, hi), c in zip(self.ranges, self.counts)])
 
     def to_json(self):
         return {"ranges": [list(r) for r in self.ranges],
@@ -279,6 +285,16 @@ def gaussian_exact(cov_model, grid, seed):
 
 # ---------------------------------------------------------------------------
 
+def _freq_axes(xi_max, count_per_axis, d):
+    """Axes of the half-space midpoint grid, d - 1 full axes of 2K points
+    and a last half axis of K, and the step xi_max / K."""
+    if xi_max <= 0 or count_per_axis < 2:
+        raise SimulationError("bad frequency grid parameters")
+    step = xi_max / count_per_axis
+    half = (np.arange(count_per_axis) + 0.5) * step
+    return [np.concatenate([-half[::-1], half])] * (d - 1) + [half], step
+
+
 def symmetric_freq_grid(xi_max, count_per_axis, d):
     """Half-space midpoint frequency grid; with its mirror it is a
     symmetric grid excluding 0.
@@ -286,16 +302,8 @@ def symmetric_freq_grid(xi_max, count_per_axis, d):
     Returns (xi_half, cell_volume): full sums run over xi_half and
     -xi_half.
     """
-    if xi_max <= 0 or count_per_axis < 2:
-        raise SimulationError("bad frequency grid parameters")
-    step = xi_max / count_per_axis
-    half_axis = (np.arange(count_per_axis) + 0.5) * step
-    if d == 1:
-        return half_axis[:, None], step
-    full_axis = np.concatenate([-half_axis[::-1], half_axis])
-    mesh = np.meshgrid(*([full_axis] * (d - 1) + [half_axis]), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return pts, step ** d
+    axes, step = _freq_axes(xi_max, count_per_axis, d)
+    return _mesh(axes), step ** d
 
 
 def spectral_tail_cutoff(p_decay, lam, d, tail_mass=1e-4):
@@ -306,41 +314,113 @@ def spectral_tail_cutoff(p_decay, lam, d, tail_mass=1e-4):
     return max(1.0, lam) * tail_mass ** (-1.0 / (2.0 * p_decay - d))
 
 
-def spectral_synthesis(spec, grid, seed, n_draws=1, freq=None,
+def _cis_int(a, k):
+    """exp(-i a k) for integer-valued float ``k`` < 2^52.  The rounding
+    error of the product a k is restored by Dekker's two-product, so the
+    phase stays exact however large a k grows."""
+    p = a * k
+    big = 134217729.0 * a                   # Veltkamp split, 26 bits each
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    k_lo = np.mod(k, 67108864.0)            # k = k_hi + k_lo, 26 bits each
+    k_hi = k - k_lo
+    err = (((a_hi * k_hi - p) + a_hi * k_lo) + a_lo * k_hi) + a_lo * k_lo
+    return np.exp(-1j * p) * np.exp(-1j * err)
+
+
+def _fft_size(n):
+    """A 2^a 3^b 5^c >= n (the smallest up to 2^a 3^13 5^8): a length
+    numpy's FFT runs fast."""
+    return min(p << (-(-n // p) - 1).bit_length()
+               for p in (3 ** b * 5 ** c for b in range(14) for c in range(9)))
+
+
+def _line_sum(coef, x0, h, n, xi0, dxi):
+    """X_i = sum_m coef[..., m] e^{-i (x0 + i h)(xi0 + m dxi)} for i < n.
+
+    A Bluestein chirp-z transform (Rabiner, Schafer & Rader 1969): with
+    w_k = e^{-i h dxi k^2 / 2}, e^{-i h dxi i m} = w_i w_m conj(w_{i-m}),
+    so every row of ``coef`` costs one FFT convolution of length
+    >= n + M - 1.  The chirp phases come from integer k^2 (``_cis_int``).
+    """
+    m = coef.shape[-1]
+    k = np.arange(max(n, m), dtype=float)
+    chirp = _cis_int(0.5 * h * dxi, k * k)
+    size = _fft_size(n + m - 1)
+    kernel = np.zeros(size, complex)
+    kernel[:n] = np.conj(chirp[:n])
+    kernel[size - m + 1:] = np.conj(chirp[m - 1:0:-1])
+    pre = np.exp(-1j * x0 * (xi0 + dxi * k[:m])) * chirp[:m]
+    spec = np.fft.fft(coef * pre, size)
+    spec *= np.fft.fft(kernel)
+    out = np.fft.ifft(spec)[..., :n]
+    out *= np.exp(-1j * (h * xi0) * k[:n]) * chirp[:n]
+    return out
+
+
+def spectral_synthesis(spec, grid, seed, n_draws=1, xi_max=None,
                        count_per_axis=512):
     """Hermitian-symmetric Riemann-sum synthesis of a harmonizable field.
 
     ``spec`` is an IsotropicGaussianSpec or a Gaussian FieldSpec of
-    flavor H.  ``freq`` overrides the (half-grid, cell_volume) pair;
-    by default a dyadic cutoff from the density's power-law tail is used.
+    flavor H.  The frequency grid is ``symmetric_freq_grid(xi_max,
+    count_per_axis, d)``; ``xi_max`` defaults to the dyadic cutoff from
+    the density's power-law tail (``spectral_tail_cutoff``).
 
     Draw j takes z from stream j and c(xi) = sqrt(dv) A(xi) z on the half
-    grid, c(-xi) = conj c(xi).  Its sum over +-xi is 2 Re sum (e^{-i<x,xi>}
-    - 1) c over the half grid, computed as the real product
-    [cos<x,xi> - 1 | sin<x,xi>] @ [2 Re c; 2 Im c].
+    grid, c(-xi) = conj c(xi).  Its sum over +-xi is 2 Re (X(x) - X(0))
+    with X(x) = sum c e^{-i<x,xi>} over the half grid.  X is exact on the
+    whole site grid without a (sites, frequencies) phase matrix: at d = 1
+    one chirp-z transform (``_line_sum``) per block of draws, at d >= 2
+    one small phase matrix e^{-i xi_a x_a} per axis.  X(0) is X's own
+    value at the origin when the origin is a grid site, so the draw is
+    exactly 0 there, and sum c otherwise.  A block of draws holds about
+    ``_NOISE_BLOCK_BYTES`` of work, 16 n (M + N) bytes per draw.
     """
     density, n, p_decay, lam = _spectral_density_for(spec)
-    if freq is None:
+    if xi_max is None:
         xi_max = spectral_tail_cutoff(p_decay, lam, grid.d)
-        xi_half, dvol = symmetric_freq_grid(xi_max, count_per_axis, grid.d)
+    freq_axes, step = _freq_axes(xi_max, count_per_axis, grid.d)
+    dvol = step ** grid.d
+    # amp[j, i, m] = sqrt(dv / 2) A(xi_m)[i, j]: z = g_re + i g_im below
+    amp = (density(_mesh(freq_axes)) * math.sqrt(0.5 * dvol)).transpose(
+        2, 1, 0).copy()
+    m = amp.shape[2]
+    site_axes = grid.axes()
+    if grid.d == 1:
+        def transform(c):
+            return _line_sum(c, grid.ranges[0][0], grid.spacings[0],
+                             grid.counts[0], 0.5 * step, step)
     else:
-        xi_half, dvol = freq
-        xi_half = np.atleast_2d(np.asarray(xi_half, dtype=float))
-    amp = density(xi_half)                      # (M, n, n)
-    m = xi_half.shape[0]
-    phase = np.empty((2 * m, grid.n_sites))    # transposed: <x,xi> in place
-    np.matmul(xi_half, grid.sites().T, out=phase[m:])
-    np.cos(phase[m:], out=phase[:m])
-    phase[:m] -= 1.0
-    np.sin(phase[m:], out=phase[m:])
+        # (m_a, n_a) phase matrices; each contraction appends its n_a axis
+        phases = [np.exp(-1j * np.outer(xi, x))
+                  for x, xi in zip(site_axes, freq_axes)]
 
-    def draw_noise(gen):
-        g = gen.standard_normal((m, n, 2))
-        z = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)   # (M, n)
-        coef = np.einsum("mij,mj->mi", amp, z)
-        return np.concatenate([coef.real, coef.imag]) * (2 * math.sqrt(dvol))
+        def transform(c):
+            c = c.reshape(c.shape[:2] + tuple(len(a) for a in freq_axes))
+            for phase in phases:
+                c = np.tensordot(c, phase, axes=(2, 0))
+            return c.reshape(c.shape[:2] + (-1,))
+    zero = [np.flatnonzero(x == 0.0) for x in site_axes]
+    origin = None if any(z.size == 0 for z in zero) else int(
+        np.ravel_multi_index([z[0] for z in zero], grid.counts))
 
-    vals = _draw_products(phase.T, draw_noise, seed, n_draws, n)
+    vals = np.empty((grid.n_sites, n_draws, n))
+    block = max(1, min(n_draws, _NOISE_BLOCK_BYTES
+                       // (16 * n * (m + grid.n_sites))))
+    for start in range(0, n_draws, block):
+        take = min(block, n_draws - start)
+        coef = np.empty((take, n, m), complex)
+        for i in range(take):
+            z = philox_stream(seed, start + i).standard_normal(
+                (m, n, 2)).view(complex)[..., 0]             # (M, n)
+            np.multiply(amp[0], z[:, 0], out=coef[i])
+            for j in range(1, n):
+                coef[i] += amp[j] * z[:, j]
+        x = transform(coef)                                 # (take, n, N)
+        at0 = coef.sum(axis=-1) if origin is None else x[..., origin]
+        vals[:, start:start + take] = 2.0 * (
+            x.real - at0.real[..., None]).transpose(2, 0, 1)
     meta = {"method": "spectral_synthesis", "seed": int(seed),
             "spec": spec.to_json(), "grid": grid.to_json(),
             "freq_points": int(m), "cell_volume": dvol}

@@ -42,6 +42,15 @@ def test_adaptive_gk_matrix_valued():
     assert np.max(np.abs(val - expect)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adaptive_gk_raises_on_non_finite_integrand(bad):
+    # a NaN error estimate selects no interval to split: name the
+    # estimate instead of failing on an empty refinement
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(QuadratureError, match="non-finite estimate"):
+        adaptive_gk(lambda x: np.where(x > 0.5, bad, x), 0.0, 1.0)
+
+
 def test_adaptive_gk_raises_on_budget():
     with pytest.raises(QuadratureError):
         adaptive_gk(lambda x: np.abs(x - math.pi / 7) ** -0.97, 0.0, 1.0,

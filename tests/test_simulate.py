@@ -258,7 +258,7 @@ def test_spectral_synthesis_variance_vs_discrete_truth():
     xi_max = spectral_tail_cutoff(0.5 + 0.6, 1.0, 1)
     half, dvol = symmetric_freq_grid(xi_max, 1024, 1)
     reals = spectral_synthesis(spec, grid, 5, n_draws=n_draws,
-                               freq=(half, dvol))
+                               xi_max=xi_max, count_per_axis=1024)
     vals = np.stack([r.values[:, 0] for r in reals])
     from trfield.covariance import itofbf_spectral_density
     amp = np.array([itofbf_spectral_density(spec, row)[0, 0]
@@ -289,8 +289,8 @@ def test_spectral_synthesis_h_flavor_field_spec():
                      MeasureSpec("gaussian", n=1))
     grid = GridSpec([(0.0, 1.0)], [3])
     n_draws = 3000
-    freq = symmetric_freq_grid(400.0, 4096, 1)
-    reals = spectral_synthesis(spec, grid, 17, n_draws=n_draws, freq=freq)
+    reals = spectral_synthesis(spec, grid, 17, n_draws=n_draws, xi_max=400.0,
+                               count_per_axis=4096)
     vals = np.stack([r.values[:, 0] for r in reals])
     # Fourier-quadrature oracle for Var X(1): full-line integral of
     # |e^{i xi}-1|^2 (lam+|xi|)^{-2H-q}
@@ -486,13 +486,19 @@ def _fh_spec_d2_n2():
 
 
 def _spectral_cases():
+    """name -> (spec, grid, (xi_max, count_per_axis))."""
     return {
         "itofbf_d1": (IsotropicGaussianSpec("ITOFBF", 1, 1, 0.52, [[0.72]]),
-                      GridSpec([(-1.0, 1.0)], [9]),
-                      symmetric_freq_grid(40.0, 64, 1)),
+                      GridSpec([(-1.0, 1.0)], [9]), (40.0, 64)),
+        # no site at the origin: the draw subtracts sum c, not a site value
+        "itofbf_d1_off_origin": (
+            IsotropicGaussianSpec("ITOFBF", 1, 1, 0.52, [[0.72]]),
+            GridSpec([(0.3, 2.1)], [7]), (40.0, 64)),
         "fh_d2_n2": (_fh_spec_d2_n2(), GridSpec([(-1.0, 1.0), (0.0, 1.0)],
-                                                [3, 4]),
-                     symmetric_freq_grid(12.0, 6, 2)),
+                                                [3, 4]), (12.0, 6)),
+        "itofbf_d3": (IsotropicGaussianSpec("ITOFBF", 3, 1, 0.8, [[0.7]]),
+                      GridSpec([(-0.5, 0.5), (0.0, 1.0), (-1.0, 0.5)],
+                               [3, 4, 4]), (10.0, 4)),
     }
 
 
@@ -507,23 +513,66 @@ def _assert_rel(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * scale
 
 
-@pytest.mark.parametrize("case", ["itofbf_d1", "fh_d2_n2"])
+@pytest.mark.parametrize("case", ["itofbf_d1", "itofbf_d1_off_origin",
+                                  "fh_d2_n2", "itofbf_d3"])
 def test_spectral_equals_full_grid_complex_sum(case):
     # the sum over +-xi with z(-xi) = conj z(xi), written out in complex
     # arithmetic: it is real, and the synthesis computes its real part
-    spec, grid, (half, dvol) = _spectral_cases()[case]
+    spec, grid, (xi_max, count) = _spectral_cases()[case]
+    half, dvol = symmetric_freq_grid(xi_max, count, grid.d)
     density = simulate._spectral_density_for(spec)[0]
     m, n = half.shape[0], spec.n
     xi = np.concatenate([half, -half])
     amp = np.concatenate([density(half), density(-half)])
     phase = np.exp(-1j * (grid.sites() @ xi.T)) - 1.0
-    reals = spectral_synthesis(spec, grid, 8, n_draws=3, freq=(half, dvol))
+    reals = spectral_synthesis(spec, grid, 8, n_draws=3, xi_max=xi_max,
+                               count_per_axis=count)
     for j, real in enumerate(reals):
         z = _stream_z(8, j, m, n)
         z = np.concatenate([z, np.conj(z)])
         total = phase @ (np.einsum("mij,mj->mi", amp, z) * math.sqrt(dvol))
         _assert_rel(real.values, total.real)
         assert np.max(np.abs(total.imag)) <= 1e-12 * np.max(np.abs(total))
+        at_origin = np.all(grid.sites() == 0.0, axis=1)
+        assert np.all(real.values[at_origin] == 0.0)
+
+
+@pytest.mark.parametrize("n, m, x0, h, xi0, dxi", [
+    (33, 20, -0.4, 0.05, 0.3, 0.7),
+    (17, 40, 0.25, 1.3, 0.2, 5.9),          # h dxi = 7.67 > 2 pi: aliased
+])
+def test_line_sum_matches_scipy_czt(n, m, x0, h, xi0, dxi):
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(3)
+    coef = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    got = simulate._line_sum(coef, x0, h, n, xi0, dxi)
+    # sum_m (coef_m e^{-i x0 m dxi}) w^{i m} with w = e^{-i h dxi}, times
+    # e^{-i x_i xi0}
+    want = signal.czt(coef * np.exp(-1j * x0 * dxi * np.arange(m)), m=n,
+                      w=np.exp(-1j * h * dxi))
+    want *= np.exp(-1j * (x0 + h * np.arange(n)) * xi0)
+    _assert_rel(got, want)
+
+
+def test_spectral_synthesis_million_sites_on_the_line():
+    # 2^20 + 1 sites and 1024 frequencies: a dense phase matrix would
+    # take about 17 GB
+    spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0, [[0.7]])
+    grid = GridSpec([(-0.25, 0.75)], [2 ** 20 + 1])
+    real = spectral_synthesis(spec, grid, 7, count_per_axis=1024)
+    x = grid.axes()[0]
+    vals = real.values[:, 0]
+    assert np.all(np.isfinite(vals))
+    assert np.all(vals[x == 0.0] == 0.0) and np.any(x == 0.0)
+    density, _, p_decay, lam = simulate._spectral_density_for(spec)
+    half, dvol = symmetric_freq_grid(
+        simulate.spectral_tail_cutoff(p_decay, lam, 1), 1024, 1)
+    coef = density(half)[:, 0, 0] * _stream_z(7, 0, 1024, 1)[:, 0] \
+        * math.sqrt(dvol)
+    idx = np.random.default_rng(0).choice(grid.n_sites, 256, replace=False)
+    want = 2.0 * (np.exp(-1j * np.outer(x[idx], half[:, 0])) @ coef
+                  - coef.sum()).real
+    assert np.max(np.abs(vals[idx] - want)) <= 1e-12 * np.max(np.abs(vals))
 
 
 def _parent_spectral(spec, grid, seed, n_draws, half, dvol):
@@ -558,21 +607,25 @@ def test_draw_engine_matches_per_draw_loop(case, monkeypatch):
         want = [(chol @ philox_stream(12, j).standard_normal(rows))
                 .reshape(grid.n_sites, 2) for j in range(5)]
     else:
-        spec, grid, (half, dvol) = _spectral_cases()[
+        spec, grid, (xi_max, count) = _spectral_cases()[
             "itofbf_d1" if case == "spectral_n1" else "fh_d2_n2"]
-        block = 2 * 8 * (2 * half.shape[0]) * spec.n
+        half, dvol = symmetric_freq_grid(xi_max, count, grid.d)
+        # 16 n (M + N) bytes of work per draw
+        block = 2 * 16 * spec.n * (half.shape[0] + grid.n_sites)
         monkeypatch.setattr(simulate, "_NOISE_BLOCK_BYTES", block)
-        reals = spectral_synthesis(spec, grid, 12, n_draws=5,
-                                   freq=(half, dvol))
+        reals = spectral_synthesis(spec, grid, 12, n_draws=5, xi_max=xi_max,
+                                   count_per_axis=count)
         want = _parent_spectral(spec, grid, 12, 5, half, dvol)
     for real, ref in zip(reals, want):
         _assert_rel(real.values, ref)
 
 
 def test_spectral_draw_does_not_depend_on_n_draws():
-    spec, grid, freq = _spectral_cases()["fh_d2_n2"]
-    a = spectral_synthesis(spec, grid, 2, n_draws=3, freq=freq)
-    b = spectral_synthesis(spec, grid, 2, n_draws=5, freq=freq)
+    spec, grid, (xi_max, count) = _spectral_cases()["fh_d2_n2"]
+    a = spectral_synthesis(spec, grid, 2, n_draws=3, xi_max=xi_max,
+                           count_per_axis=count)
+    b = spectral_synthesis(spec, grid, 2, n_draws=5, xi_max=xi_max,
+                           count_per_axis=count)
     for ra, rb in zip(a, b):
         np.testing.assert_allclose(ra.values, rb.values, rtol=1e-12, atol=0)
 
@@ -586,8 +639,10 @@ def test_exact_draw_does_not_depend_on_n_draws():
 
 
 def test_synthesis_provenance_keys():
-    spec, grid, (half, dvol) = _spectral_cases()["fh_d2_n2"]
-    reals = spectral_synthesis(spec, grid, 1, n_draws=2, freq=(half, dvol))
+    spec, grid, (xi_max, count) = _spectral_cases()["fh_d2_n2"]
+    half, dvol = symmetric_freq_grid(xi_max, count, grid.d)
+    reals = spectral_synthesis(spec, grid, 1, n_draws=2, xi_max=xi_max,
+                               count_per_axis=count)
     for j, real in enumerate(reals):
         assert sorted(real.provenance) == [
             "cell_volume", "draw", "freq_points", "grid", "method", "seed",
