@@ -77,12 +77,13 @@ def adaptive_gk(f, a, b, rtol=1e-10, atol=1e-13, max_intervals=4096,
     while True:
         total = vals.sum(axis=0)
         total_err = float(errs.sum()) + frozen_err
-        if not (math.isfinite(total_err) and np.all(np.isfinite(total))):
+        peak = float(np.max(np.abs(total)))
+        if not (math.isfinite(total_err) and math.isfinite(peak)):
             raise QuadratureError(
                 f"adaptive_gk: non-finite estimate {total} (error "
                 f"{total_err}) on [{a}, {b}]: the integrand returned NaN "
                 "or inf")
-        scale = max(atol, rtol * float(np.max(np.abs(total))))
+        scale = max(atol, rtol * peak)
         if total_err <= scale:
             return total, total_err
         if len(lo) >= max_intervals:
