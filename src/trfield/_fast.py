@@ -15,7 +15,7 @@ on the lag x - y only: when the sites and the nodes are arithmetic
 progressions with commensurate steps, ``_lag_kernel`` evaluates the
 kernel once per distinct lag and indexes the matrix out of those values;
 other grids take the dense difference.
-``trfield.benchmark`` times them all, the kernel matrix on both paths.
+``perfbench/run.py --trace 1`` times them as its ``fast.*`` spans.
 """
 
 import math
@@ -387,14 +387,12 @@ def _lag_kernel(sites, nodes, fn):
 
 
 def _pin(out, node_term, sites):
-    """out - node_term as a contiguous owned array: in place on a dense
-    ``out``; from a read-only lattice view into a fresh array whose rows
-    at a site exactly 0 are set to 0, as the dense difference leaves them
-    (the field is pinned at the origin)."""
-    if out.flags.writeable:
-        return np.subtract(out, node_term, out=out)
-    out = out - node_term
-    out[sites == 0.0] = 0.0
+    """out - node_term as a contiguous owned array (in place when ``out``
+    is writeable, not a lattice view), with the rows of sites (N or N x d)
+    exactly at the origin set to 0: the field is pinned there."""
+    out = np.subtract(out, node_term, out=out if out.flags.writeable else None)
+    zero = sites == 0.0
+    out[zero if zero.ndim == 1 else np.all(zero, axis=1)] = 0.0
     return out
 
 

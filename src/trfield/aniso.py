@@ -47,12 +47,9 @@ class _ExpAction:
             self.lam = np.array([t for t, _ in blocks])
 
     def norms(self, s_nodes, shifts, x_cols):
-        """(K, N) array of ||exp(-(s_k + a_i) E) x_i|| for shifts a_i.
-
-        exp(-(s + a)E) = exp(-sE) exp(-aE), so the exponentials are taken
-        once per node and once per point, and the (K, N) table is a
-        matrix product with inner dimension d.
-        """
+        """(K, N) array of ||exp(-(s_k + a_i) E) x_i|| for shifts a_i:
+        exp(-(s + a)E) = exp(-sE) exp(-aE), exponentials once per node and
+        once per point, and a matrix product of inner dimension d."""
         shifts = np.broadcast_to(np.asarray(shifts, dtype=float),
                                  (x_cols.shape[1],))
         if self.diag:
@@ -66,6 +63,23 @@ class _ExpAction:
         y = y.reshape(len(s_nodes), d, -1)
         return np.sqrt(np.sum(y.real ** 2 + y.imag ** 2, axis=1))
 
+    def norms_at(self, u, x_cols):
+        """(K, N) array of ||exp(-u[k, i] E) x_i||, nodes per point."""
+        if self.diag:
+            y = x_cols[:, None, :] * np.exp(self.rates[:, None, None] * -u)
+            return np.sqrt(np.sum(y * y, axis=0))
+        y = np.exp(self.lam[:, None, None] * -u) * (self.pinv @ x_cols)[
+            :, None, :]
+        y = np.tensordot(self.p, y, axes=(1, 0))
+        return np.sqrt(np.sum(y.real ** 2 + y.imag ** 2, axis=0))
+
+
+def _finite(xs, what):
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise AnisoError(f"{what}: non-finite input")
+    return xs
+
 
 def norm0(x, e, rtol=1e-12):
     """The E-induced norm int_0^1 ||t^E x|| dt/t (Euclidean base norm)."""
@@ -75,35 +89,13 @@ def norm0(x, e, rtol=1e-12):
 def norm0_many(xs, e, rtol=1e-12):
     """Vectorized norm0 over rows of ``xs``."""
     e = _as_exponent(e)
-    xs = np.asarray(xs, dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise AnisoError("norm0: non-finite input")
+    xs = _finite(xs, "norm0")
     if e.varpi <= 0:
         raise AnisoError("norm0 requires a domain exponent with varpi > 0")
-    action = _ExpAction(e)
     out = np.zeros(xs.shape[0])
     live = np.any(xs != 0.0, axis=1)
-    if not np.any(live):
-        return out
-    cols = xs[live].T
-    # substitute t = e^{-s}: integral over s in [0, S] with exponential tail
-    varpi = e.varpi
-    span = (40.0 + max(0.0, math.log(float(np.max(np.abs(cols))) + 1e-300))
-            - min(0.0, math.log(float(np.min(np.max(np.abs(cols), axis=0)))
-                                + 1e-300))) / varpi
-    width = min(1.0, 2.0 / max(1.0, float(np.linalg.norm(e.entries, 2))))
-    n_panels = int(math.ceil(span / width))
-    x0, w0 = gauss_legendre(16)
-    total = np.zeros(cols.shape[1])
-    for j in range(n_panels):
-        lo = j * width
-        mid, half = lo + 0.5 * width, 0.5 * width
-        s_nodes = mid + half * x0
-        vals = action.norms(s_nodes, 0.0, cols)
-        total += half * (w0 @ vals)
-        if j > 4 and np.max(half * (w0 @ vals)) < rtol * np.min(total):
-            break
-    out[live] = total
+    if np.any(live):
+        out[live] = _norm0_shifted(_ExpAction(e), e, xs[live].T, 0.0, rtol)
     return out
 
 
@@ -126,21 +118,17 @@ class PolarPoint:
 def tau_many(xs, e, tol=1e-11, max_iter=60):
     """Radial parts tau(x) for rows of ``xs``, by safeguarded Newton.
 
-    tau(x) = e^a, where a is the root of f(a) = log g(a) and
-    g(a) = norm0(e^{-aE} x) = int_0^inf ||e^{-(s+a)E} x|| ds is strictly
-    decreasing.  Its derivative is exact: g'(a) = -||e^{-aE} x||, so a
-    Newton step a + g log(g) / ||e^{-aE} x|| costs one quadrature and one
-    norm.
-
-    The iteration starts at the scalar-exponent closed form
-    a0 = log(|x|/e)/e with e = tr(E)/d, exact when E = e I.  The root must
-    lie in [-60, 60] (checked once); the sign of f narrows that bracket,
-    and a step that leaves it is replaced by bisection.  A point stops
-    when |f| < ``tol`` (its last Newton step is still taken) or when its
-    step falls below 4 ulps of max(|a|, 1), the resolution of tau, which
-    is the binding test where quadrature noise keeps |f| from falling
-    further.  Stopped points drop out of later quadratures; points still
-    running after ``max_iter`` steps raise :class:`AnisoError`.
+    tau(x) = e^a at the root of f(a) = log g(a), where
+    g(a) = norm0(e^{-aE} x) = int_a^inf ||e^{-uE} x|| du decreases with
+    g'(a) = -||e^{-aE} x||.  From a0 = log(|x|/e)/e, e = tr(E)/d (exact
+    for E = e I), g takes one full quadrature; each step then subtracts
+    the integral over the step alone (``_advance``).  The sign of f
+    narrows the bracket [-60, 60]; a step leaving it bisects instead.  A
+    point stops when |f| < ``tol`` (its last step still taken) or its step
+    is within 4 ulps of max(|a|, 1).  A root outside the bracket drives
+    its iterates to the edge, so points ending within 1 of it must have
+    f(-60) >= 0 >= f(60), else :class:`AnisoError` names the bracket; so
+    does a point still running after ``max_iter`` steps, naming ``tol``.
     """
     e = _as_exponent(e)
     xs = np.asarray(xs, dtype=float)
@@ -151,20 +139,17 @@ def tau_many(xs, e, tol=1e-11, max_iter=60):
     n_pts = xs.shape[0]
     lo = np.full(n_pts, -60.0)
     hi = np.full(n_pts, 60.0)
-    if (np.any(_norm0_shifted(action, e, cols, lo) < 1.0)
-            or np.any(_norm0_shifted(action, e, cols, hi) > 1.0)):
-        raise AnisoError("bracket [-60, 60] on log tau failed")
     e_bar = float(np.trace(e.entries)) / e.dim
     a = np.clip(np.log(np.linalg.norm(xs, axis=1) / e_bar) / e_bar, lo, hi)
+    g = _norm0_shifted(action, e, cols, a)
     live = np.arange(n_pts)
     for _ in range(max_iter):
-        c, al = cols[:, live], a[live]
-        g = _norm0_shifted(action, e, c, al)
-        f = np.log(g)
+        c, al, gl = cols[:, live], a[live], g[live]
+        f = np.log(gl)
         above = f > 0.0                       # a below the root
         lo_l = np.where(above, al, lo[live])
         hi_l = np.where(above, hi[live], al)
-        new = al + g * f / action.norms(np.zeros(1), al, c)[0]
+        new = al + gl * f / action.norms(np.zeros(1), al, c)[0]
         conv = np.abs(f) < tol
         inside = (new > lo_l) & (new < hi_l)
         new = np.where(inside, new,
@@ -172,27 +157,63 @@ def tau_many(xs, e, tol=1e-11, max_iter=60):
         conv |= (np.abs(new - al)
                  <= 4.0 * np.spacing(np.maximum(np.abs(al), 1.0)))
         a[live], lo[live], hi[live] = new, lo_l, hi_l
-        live = live[~conv]
+        run = ~conv
+        live = live[run]
         if live.size == 0:
-            return np.exp(a)
-    raise AnisoError(f"tau_many: {live.size} of {n_pts} points did not "
-                     f"reach tol={tol} in {max_iter} Newton steps")
+            break
+        g[live] = _advance(action, e, c[:, run], al[run], new[run], gl[run],
+                           ~inside[run] | (np.abs(f[run]) > 1.0))
+    edge = np.flatnonzero(np.abs(a) > 59.0)
+    side = np.sign(a[edge])
+    if edge.size and np.any(side * np.log(_norm0_shifted(
+            action, e, cols[:, edge], 60.0 * side)) > 0.0):
+        raise AnisoError("bracket [-60, 60] on log tau failed")
+    if live.size:
+        raise AnisoError(f"tau_many: {live.size} of {n_pts} points did not "
+                         f"reach tol={tol} in {max_iter} Newton steps")
+    return np.exp(a)
 
 
-def _norm0_shifted(action, e, cols, log_r):
-    """g(log_r) = int_0^inf ||e^{-(s + log_r)E} x|| ds for columns x."""
-    varpi = e.varpi
-    span = 33.0 / varpi + 6.0
+def _advance(action, e, cols, a_old, a_new, g_old, full):
+    """g(a_new) = g(a_old) - int_{a_old}^{a_new} ||e^{-uE} x|| du on GL
+    panels of width <= min(1, 2/||E||) (3, 6 or 12 nodes as the widest
+    times ||E|| is <= 0.01, 1 or 2); a full quadrature where ``full`` or
+    where g falls more than e^2-fold, which the difference would cancel."""
+    g = np.zeros_like(g_old)
+    part = np.flatnonzero(~full)
+    step = a_new[part] - a_old[part]
+    rate = max(1.0, float(np.linalg.norm(e.entries, 2)))
+    k = np.maximum(np.ceil(np.abs(step) * max(1.0, 0.5 * rate)), 1).astype(int)
+    owner = np.repeat(np.arange(part.size), k)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(k) - k, k)
+    half = 0.5 * step[owner] / k[owner]
+    widest = 2.0 * rate * float(np.max(np.abs(half), initial=0.0))
+    x0, w0 = gauss_legendre(3 if widest <= 0.01 else 6 if widest <= 1.0
+                            else 12)
+    u = a_old[part][owner] + (2 * j + 1) * half + np.outer(x0, half)
+    panels = half * (w0 @ action.norms_at(u, cols[:, part[owner]]))
+    g[part] = g_old[part] - np.bincount(owner, panels, part.size)
+    redo = ~(g > math.exp(-2.0) * g_old)      # full, or g fell too far
+    if np.any(redo):
+        g[redo] = _norm0_shifted(action, e, cols[:, redo], a_new[redo])
+    return g
+
+
+def _norm0_shifted(action, e, cols, log_r, rtol=1e-13):
+    """g(log_r) = int_0^inf ||e^{-(s + log_r)E} x|| ds for columns x, on
+    GL12 panels of width min(2, 4/||E||) until one adds less than ``rtol``
+    of the smallest total, over at most (40 + the log-spread of the
+    columns' sizes)/varpi."""
+    size = np.log(np.max(np.abs(cols), axis=0))
+    span = (40.0 + float(np.ptp(size))) / e.varpi
     width = min(2.0, 4.0 / max(1.0, float(np.linalg.norm(e.entries, 2))))
-    n_panels = int(math.ceil(span / width))
     x0, w0 = gauss_legendre(12)
     total = np.zeros(cols.shape[1])
-    for j in range(n_panels):
-        mid = j * width + 0.5 * width
-        vals = action.norms(mid + 0.5 * width * x0, log_r, cols)
+    for j in range(int(math.ceil(span / width))):
+        vals = action.norms((j + 0.5 + 0.5 * x0) * width, log_r, cols)
         block = 0.5 * width * (w0 @ vals)
         total += block
-        if j > 3 and np.max(block) < 1e-13 * max(np.min(total), 1e-300):
+        if j > 3 and np.max(block) < rtol * max(np.min(total), 1e-300):
             break
     return total
 
@@ -212,8 +233,10 @@ class EHomogeneousFn:
     """Built-in continuous E-homogeneous functions phi.
 
     variants: ``euclidean`` (phi = ||.||, requires E = I), ``radial``
-    (phi = tau_E), and ``diag_power`` (diagonal E = diag(a_1..a_d),
-    phi(x) = (sum_i |x_i|^(rho/a_i))^(1/rho) for rho >= max a_i).
+    (phi = tau_E, by ``tau_many``), and ``diag_power`` (diagonal
+    E = diag(a_1..a_d), phi(x) = (sum_i |x_i|^(rho/a_i))^(1/rho) for
+    rho >= max a_i).  ``pairwise`` evaluates phi over site-node pairs, the
+    sums over axes from one small table per axis.
     """
 
     def __init__(self, variant, e, rho=None):
@@ -246,19 +269,37 @@ class EHomogeneousFn:
         return float(self.batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise AnisoError("phi: non-finite input")
-        if self.variant == "euclidean":
-            return np.linalg.norm(xs, axis=1)
-        if self.variant == "diag_power":
-            a = np.diag(self.e.entries)
-            return np.sum(np.abs(xs) ** (self.rho / a), axis=1) ** (1.0 / self.rho)
+        """phi over the rows of ``xs``."""
+        xs = _finite(xs, "phi")
+        if self.variant != "radial":
+            return self.pairwise(xs, np.zeros((1, xs.shape[1])))[:, 0]
         out = np.zeros(xs.shape[0])
         live = np.any(xs != 0.0, axis=1)
         if np.any(live):
             out[live] = tau_many(xs[live], self.e)
         return out
+
+    def pairwise(self, sites, nodes):
+        """(N, M) array of phi(sites[i] - nodes[k]); ``radial`` takes
+        ``batch`` of the differences.  The others sum one term per axis,
+        x^2 or |x|^(rho/a_i), each tabulated over the distinct coordinates
+        of its axis and gathered; ``batch`` is this with one node at 0."""
+        sites, nodes = _finite(sites, "phi"), _finite(nodes, "phi")
+        if self.variant == "radial":
+            diffs = sites[:, None, :] - nodes[None, :, :]
+            return self.batch(diffs.reshape(-1, sites.shape[1])).reshape(
+                sites.shape[0], nodes.shape[0])
+        for i in range(sites.shape[1]):
+            us, at_s = np.unique(sites[:, i], return_inverse=True)
+            un, at_n = np.unique(nodes[:, i], return_inverse=True)
+            x = np.subtract.outer(us, un)
+            table = x * x if self.variant == "euclidean" else \
+                np.abs(x) ** (self.rho / self.e.entries[i, i])
+            term = table[at_s][:, at_n]
+            total = term if i == 0 else np.add(total, term, out=total)
+        if self.variant == "euclidean":
+            return np.sqrt(total, out=total)
+        return np.power(total, 1.0 / self.rho, out=total)
 
     def extrema(self, n_samples=2048, refine=True):
         """(m_phi, M_phi) over the unit sphere S_0 of ||.||_0."""

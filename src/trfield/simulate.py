@@ -5,8 +5,9 @@ Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id), so draws are reproducible and order-independent:
 stream j feeds the noise of draw j, whatever the number of draws.
 Exact, moving-average and stable synthesis multiply one dense real matrix
-(Cholesky factor or kernel matrix) by per-draw noise columns; one engine,
-``_draw_products``, runs them all, one GEMM per block of draws.  Spectral
+(Cholesky factor or kernel matrix), built in blocks of rows, by per-draw
+noise columns; one engine, ``_draw_products``, runs them all, one GEMM
+per block of rows and block of draws.  Spectral
 synthesis builds no matrix: both grids are arithmetic progressions, so
 its frequency sum is a chirp-z transform on the line and a chain of small
 per-axis phase matrices on product grids.
@@ -38,6 +39,7 @@ __all__ = [
 EXACT_SITE_CAP = 16384
 _MAGIC = b"TRF1"
 _NOISE_BLOCK_BYTES = 32 << 20       # noise (spectral: work) per block
+_KERNEL_BLOCK_BYTES = 24 << 20      # kernel or factor rows per block
 
 
 class SimulationError(RuntimeError):
@@ -101,6 +103,12 @@ class GridSpec:
         """(M, d) cell midpoints (offset grid used for Riemann sums)."""
         return _mesh([lo + (np.arange(c - 1) + 0.5) * (hi - lo) / (c - 1)
                       for (lo, hi), c in zip(self.ranges, self.counts)])
+
+    @functools.cached_property
+    def _csv_sites(self):
+        """Each site's CSV columns "x0,...," as np.savetxt prints them."""
+        return ((("%.18e," * self.d + "\n") * self.n_sites) % tuple(
+            self.sites().ravel().tolist())).splitlines()
 
     def to_json(self):
         return {"ranges": [list(r) for r in self.ranges],
@@ -178,15 +186,13 @@ class Realization:
                    header["provenance"])
 
     def to_csv_bytes(self):
-        """Sites and values as CSV, one row per site."""
-        sites = self.grid.sites()
-        cols = np.hstack([sites, self.values])
-        head = ",".join([f"x{i}" for i in range(sites.shape[1])]
+        """Sites and values as CSV, one row per site: the bytes of
+        np.savetxt(..., delimiter=",", header=head, comments="")."""
+        head = ",".join([f"x{i}" for i in range(self.grid.d)]
                         + [f"v{i}" for i in range(self.n)])
-        # the bytes of np.savetxt(..., delimiter=",", header=head,
-        # comments=""), with one format operation over all rows
-        row = ",".join(["%.18e"] * cols.shape[1]) + "\n"
-        body = (row * cols.shape[0]) % tuple(cols.ravel().tolist())
+        row = ",".join(["%.18e"] * self.n) + "\n"
+        body = (row.join(self.grid._csv_sites) + row) % tuple(
+            self.values.ravel().tolist())
         return (head + "\n" + body).encode("ascii")
 
     def to_csv(self, path):
@@ -270,8 +276,9 @@ def gaussian_exact_many(cov_model, grid, seed, n_draws):
             f"{EXACT_SITE_CAP}")
     gram = cov_model.gram(grid.sites(), check_psd=False)
     chol, jitter = _factor_gram(gram, grid.n_sites)
-    vals = _draw_products(chol, lambda gen: gen.standard_normal(len(chol)),
-                          seed, n_draws)
+    rows = len(chol)
+    vals = _draw_products(lambda r0, r1: chol[r0:r1], rows, rows,
+                          lambda gen: gen.standard_normal(rows), seed, n_draws)
     meta = {"method": "gaussian_exact", "seed": int(seed),
             "spec": cov_model.spec.to_json(), "grid": grid.to_json(),
             "jitter": jitter}
@@ -472,16 +479,20 @@ def _measure_noise(measure, dvol, m_nodes):
     return lambda gen: _cms_noise(gen, alpha, m_nodes) * dvol ** (1.0 / alpha)
 
 
-def _draw_products(g, draw_noise, seed, n_draws, k=1):
-    """(rows, n_draws, k) products g @ draw_noise(philox_stream(seed, j)).
+def _draw_products(kernel_rows, rows, m, draw_noise, seed, n_draws, k=1):
+    """(rows, n_draws, k) products G @ draw_noise(philox_stream(seed, j)).
 
-    ``draw_noise`` returns draw j's (m, k) noise columns.  Noise is drawn
-    one draw at a time (whole-block temporaries leave the cache) into a
-    ``_NOISE_BLOCK_BYTES`` matrix; one GEMM per block of draws reads ``g``
-    once for all of them.
+    ``kernel_rows(r0, r1)`` builds rows r0:r1 of the (rows, m) matrix G
+    in even blocks of at most ``_KERNEL_BLOCK_BYTES``, once per block of
+    draws (so once per call when the noise fits one block); G is never
+    held whole.  ``draw_noise`` returns draw j's (m, k) noise columns,
+    drawn one draw at a time (whole-block temporaries leave the cache)
+    into a ``_NOISE_BLOCK_BYTES`` matrix; one GEMM per pair of blocks.
     """
-    rows, m = g.shape
     block = max(1, min(n_draws, _NOISE_BLOCK_BYTES // (8 * m * k)))
+    n_row_blocks = -(-rows // max(1, _KERNEL_BLOCK_BYTES // (8 * m)))
+    step = -(-rows // n_row_blocks)
+    spans = [(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
     dm = np.empty((block, k, m))
     out = np.empty((rows, n_draws, k))
     for start in range(0, n_draws, block):
@@ -489,8 +500,9 @@ def _draw_products(g, draw_noise, seed, n_draws, k=1):
         for i in range(take):
             noise = draw_noise(philox_stream(seed, start + i))
             dm[i] = np.reshape(noise, (m, k)).T
-        out[:, start:start + take] = (
-            g @ dm[:take].reshape(take * k, m).T).reshape(rows, take, k)
+        for r0, r1 in spans:          # each block freed before the next
+            out[r0:r1, start:start + take] = (kernel_rows(r0, r1) @ dm[
+                :take].reshape(take * k, m).T).reshape(r1 - r0, take, k)
     return out
 
 
@@ -520,32 +532,28 @@ def _ma_kernel_matrix(spec, sites, nodes):
     if spec.n != 1:
         raise SimulationError("Riemann-sum synthesis implemented for n = 1")
     nu = float(spec.exponent.entries[0, 0])
-    euclid_like = (spec.d == 1 and spec.phi.variant == "euclidean")
-    if spec.flavor == "MA" and euclid_like:
+    if spec.flavor == "MA" and spec.d == 1 and \
+            spec.phi.variant == "euclidean":
         return _fast.ma_matrix_1d(sites[:, 0], nodes[:, 0], nu, spec.lambda_)
-    # generic path through phi
-    diffs = sites[:, None, :] - nodes[None, :, :]
-    phi_xy = spec.phi.batch(diffs.reshape(-1, spec.d)).reshape(
-        sites.shape[0], nodes.shape[0])
-    phi_y = spec.phi.batch(-nodes)
+    # generic path through phi, assembled in the buffer of the site term
     if spec.flavor == "MA":
         def term(ph):
             return _fast._tempered_power(ph, nu, spec.lambda_,
                                          np.empty_like(ph))
     else:
+        from .kernels import _bessel_power_term
         from .specfun import bessel_k_batch
 
         def term(ph):
-            ph = np.asarray(ph)
             out = np.zeros_like(ph)
             pos = ph > 0
             out[pos] = bessel_k_batch(nu, spec.lambda_ * ph[pos]) \
                 * ph[pos] ** nu
-            if np.any(~pos):
-                from .kernels import _bessel_power_term
+            if not np.all(pos):         # the phi = 0 limit, where defined
                 out[~pos] = _bessel_power_term(spec, 0.0)[0, 0]
             return out
-    return term(phi_xy) - term(phi_y)[None, :]
+    return _fast._pin(term(spec.phi.pairwise(sites, nodes)),
+                      term(spec.phi.batch(-nodes)), sites)
 
 
 def sas_truncation_report(spec, grid, integration_grid):
@@ -595,9 +603,13 @@ def ma_synthesis(spec, grid, integration_grid, seed, n_draws=1,
         raise SimulationError(
             f"integration grid covers only {margin:.2f} of the tempering "
             "radius; enlarge it or pass require_coverage=False")
-    g = _ma_kernel_matrix(spec, grid.sites(), integration_grid.midpoints())
-    sums = _draw_products(g, _measure_noise(
-        spec.measure, integration_grid.cell_volume, g.shape[1]), seed, n_draws)
+    sites, nodes = grid.sites(), integration_grid.midpoints()
+    m = nodes.shape[0]
+    sums = _draw_products(
+        lambda r0, r1: _ma_kernel_matrix(spec, sites[r0:r1], nodes),
+        sites.shape[0], m,
+        _measure_noise(spec.measure, integration_grid.cell_volume, m),
+        seed, n_draws)
     meta = {"method": "ma_synthesis", "seed": int(seed),
             "spec": spec.to_json(), "grid": grid.to_json(),
             "integration_grid": integration_grid.to_json(),
@@ -616,9 +628,11 @@ def tfsm_synthesis(hurst, alpha, lam, times, integration_grid, seed,
     support (y <= max(times), down to the tempering radius).  Cells get
     SaS(alpha) noise of scale dy^{1/alpha}, draw j from stream j.
     """
-    g = _fast.tfsm_matrix(np.atleast_1d(times),
-                          integration_grid.midpoints()[:, 0],
-                          hurst - 1.0 / alpha, lam)
+    times = np.atleast_1d(times)
+    nodes = integration_grid.midpoints()[:, 0]
     noise = _measure_noise(MeasureSpec("sas", alphas=[alpha]),
-                           integration_grid.cell_volume, g.shape[1])
-    return _draw_products(g, noise, seed, n_draws)[:, :, 0].T
+                           integration_grid.cell_volume, nodes.shape[0])
+    return _draw_products(
+        lambda r0, r1: _fast.tfsm_matrix(times[r0:r1], nodes,
+                                         hurst - 1.0 / alpha, lam),
+        times.shape[0], nodes.shape[0], noise, seed, n_draws)[:, :, 0].T

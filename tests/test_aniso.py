@@ -141,6 +141,28 @@ def test_tau_many_unconverged_raises_naming_tolerance(rng):
     assert "of 16 points" in str(info.value)
 
 
+@pytest.mark.parametrize("scale", [1e-40, 1e40])
+def test_tau_many_root_outside_bracket_raises(scale):
+    # log tau is about -73 and +74 here: outside [-60, 60]
+    with pytest.raises(AnisoError, match=r"bracket \[-60, 60\]"):
+        tau_many(np.array([[scale, scale]]), np.diag([1.0, 1.5]))
+
+
+@pytest.mark.parametrize("log_r", [-20.0, 20.0])
+def test_tau_many_large_newton_steps_land_on_unit_sphere(rng, log_r):
+    # x = r^E theta has components of sizes r^0.2 and r^3, so the start
+    # from |x| is 10 to 20 away from log tau = log r + log tau(theta)
+    e_mat = np.diag([0.2, 3.0])
+    theta = rng.standard_normal((32, 2))
+    xs = theta @ matrix_power(e_mat, math.exp(log_r)).T
+    taus = tau_many(xs, e_mat)
+    ls = np.array([matrix_power(e_mat, 1.0 / t) @ x
+                   for t, x in zip(taus, xs)])
+    assert np.max(np.abs(norm0_many(ls, e_mat) - 1.0)) < 1e-9
+    np.testing.assert_allclose(taus, math.exp(log_r) * tau_many(theta, e_mat),
+                               rtol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # phi variants
 
@@ -180,6 +202,29 @@ def test_phi_homogeneity(c, seed):
         lhs = phi(matrix_power(em, c) @ x)
         rhs = c * phi(x)
         assert abs(lhs - rhs) < 1e-8 * abs(rhs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["euclidean", "diag_power"])
+def test_pairwise_is_batch_of_differences_bitwise(rng, d, variant):
+    e_diag = np.array([1.0, 1.5, 0.7])[:d]
+    phi = EHomogeneousFn(variant, np.eye(d)) if variant == "euclidean" \
+        else EHomogeneousFn(variant, np.diag(e_diag), rho=2.5)
+    # scattered points, some coordinates repeated, one difference zero
+    sites = rng.standard_normal((23, d)) * 3.0
+    nodes = rng.standard_normal((57, d)) * 40.0
+    nodes[::4, 0] = np.round(nodes[::4, 0])
+    sites[3] = 0.0
+    nodes[7] = sites[5]
+    diffs = (sites[:, None, :] - nodes[None, :, :]).reshape(-1, d)
+    got = phi.pairwise(sites, nodes)
+    assert got.shape == (23, 57)
+    assert np.array_equal(got, phi.batch(diffs).reshape(23, 57))
+    rho = 2.0 if variant == "euclidean" else 2.5
+    expo = rho / (np.ones(d) if variant == "euclidean" else e_diag)
+    formula = np.sum(np.abs(diffs) ** expo, axis=1) ** (1.0 / rho)
+    np.testing.assert_allclose(got.ravel(), formula, rtol=1e-14, atol=0)
+    assert got[5, 7] == 0.0
 
 
 def test_phi_positive_off_origin(rng):

@@ -9,7 +9,7 @@ from trfield.aniso import EHomogeneousFn
 from trfield.covariance import (CovarianceModel, IsotropicGaussianSpec,
                                 TFBMCovariance, itofbf_cov, tfbm_cov)
 from trfield.kernels import FieldSpec, MeasureSpec
-from trfield import _fast, simulate
+from trfield import _fast, simulate, specfun
 from trfield.quadrature import adaptive_gk
 from trfield.simulate import (GridSpec, Realization, SimulationError,
                               SimulationToleranceError,
@@ -474,6 +474,68 @@ def test_block_gemm_matches_per_draw_loop(monkeypatch):
                                  math.sqrt(dvol) / math.sqrt(2.0))
         np.testing.assert_allclose(real.values[:, 0], want, rtol=1e-12,
                                    atol=0)
+
+
+def _ma_cases():
+    """name -> (spec, grid, integration grid); the grids hold the origin
+    and no site falls on a node."""
+    e2 = np.diag([1.0, 1.5])
+
+    def field(flavor, e_mat, phi):
+        return FieldSpec(flavor, e_mat.shape[0], 1, 0.8, e_mat, [[0.7]], phi,
+                         MeasureSpec("gaussian", n=1))
+    grid2 = GridSpec([(-0.25, 0.25)] * 2, [3, 3])
+    igrid2 = GridSpec([(-6.0, 6.0)] * 2, [13, 13])
+    return {
+        "diag_power_d2": (field("MA", e2, EHomogeneousFn(
+            "diag_power", e2, rho=2.0)), grid2, igrid2),
+        "radial_d2": (field("MA", e2, EHomogeneousFn("radial", e2)),
+                      grid2, igrid2),
+        "mab_d1": (field("MA_B", np.eye(1), EHomogeneousFn(
+            "euclidean", np.eye(1))), GridSpec([(-0.25, 0.25)], [5]),
+            GridSpec([(-20.0, 20.0)], [41])),
+    }
+
+
+def _dense_ma_kernel(spec, sites, nodes):
+    """term(phi(x - y)) - term(phi(-y)) from phi.batch of the (N M, d)
+    differences, term(p) = p^nu e^{-lam p} (MA) or K_nu(lam p) p^nu."""
+    nu, lam = spec.exponent.entries[0, 0], spec.lambda_
+
+    def term(p):
+        if spec.flavor == "MA":
+            return p ** nu * np.exp(-lam * p)
+        return specfun.bessel_k_batch(nu, lam * p) * p ** nu
+    diffs = (sites[:, None, :] - nodes[None, :, :]).reshape(-1, spec.d)
+    return term(spec.phi.batch(diffs)).reshape(len(sites), len(nodes)) \
+        - term(spec.phi.batch(-nodes))
+
+
+@pytest.mark.parametrize("case", ["diag_power_d2", "radial_d2", "mab_d1"])
+def test_ma_kernel_row_blocks_match_dense_formula(case, monkeypatch):
+    # two kernel rows per block: 9 (5) sites end in a one-row block
+    spec, grid, igrid = _ma_cases()[case]
+    sites, nodes = grid.sites(), igrid.midpoints()
+    monkeypatch.setattr(simulate, "_KERNEL_BLOCK_BYTES", 2 * 8 * len(nodes))
+    built = []
+    kernel = simulate._ma_kernel_matrix
+
+    def spy(spec_, rows, nodes_):
+        built.append(len(rows))
+        return kernel(spec_, rows, nodes_)
+    monkeypatch.setattr(simulate, "_ma_kernel_matrix", spy)
+    reals = ma_synthesis(spec, grid, igrid, 5, n_draws=3,
+                         require_coverage=False)
+    assert built == [2] * (len(sites) // 2) + [1]
+    g = _dense_ma_kernel(spec, sites, nodes)
+    origin = np.flatnonzero(np.all(sites == 0.0, axis=1))
+    assert origin.size == 1
+    for j, real in enumerate(reals):
+        # Gaussian N(0, dvol): the alpha = 2 transform over sqrt(2)
+        want = g @ _stream_noise(5, j, len(nodes), 2.0,
+                                 math.sqrt(igrid.cell_volume / 2.0))
+        _assert_rel(real.values[:, 0], want)
+        assert real.values[origin[0], 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
