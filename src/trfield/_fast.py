@@ -1,21 +1,20 @@
 """Hot numeric kernels, one numpy implementation each.
 
-``kv_batch`` (K_nu: a Temme series for u <= 2, above it ``_cosh_rule``,
-the trapezoidal rule on the cosh integral that also serves the order
-derivatives and the matrix-order K_N of ``matfun``; orders from 3/2 on
-recur upward from K_mu and K_{mu+1}, |mu| <= 1/2), ``hyp2f1_batch``
-(Gauss 2F1 for z <= 0: the Pfaff series on [-1, 0], the 1/(1-z)
-connection formula below, both at w <= 1/2 and summed in blocks of
-``_HYP_BLOCK`` terms), ``cms_batch`` (Chambers-Mallows-Stuck variates;
-at alpha = 2 the exact closed form 2 sin(theta) sqrt(w)),
-``ma_matrix_1d`` and ``tfsm_matrix`` (moving-average kernel matrices,
+``kv_batch`` (K_nu at every argument by ``_cosh_rule``, the trapezoidal
+rule on the cosh integral that also serves the order derivatives and the
+matrix-order K_N of ``matfun``; orders from 3/2 on recur upward from K_mu
+and K_{mu+1}, |mu| <= 1/2), ``hyp2f1_batch`` (Gauss 2F1 for z <= 0: the
+Pfaff series on [-1, 0], the 1/(1-z) connection formula below, both at
+w <= 1/2 and summed in blocks of ``_HYP_BLOCK`` terms), ``cms_batch``
+(Chambers-Mallows-Stuck variates; at alpha = 2 the closed form 2 sin(theta)
+sqrt(w)), ``ma_matrix_1d`` and ``tfsm_matrix`` (moving-average kernels,
 through the one tempered power ``_tempered_power``) and ``box_count``
 evaluate their recurrences with array masks.  The kernel matrices depend
 on the lag x - y only: when the sites and the nodes are arithmetic
 progressions with commensurate steps, ``_lag_kernel`` evaluates the
 kernel once per distinct lag and indexes the matrix out of those values;
-other grids take the dense difference.
-``perfbench/run.py --trace 1`` times them as its ``fast.*`` spans.
+other grids take the dense difference.  ``perfbench/run.py --trace 1``
+times them as its ``fast.*`` spans.
 """
 
 import math
@@ -25,20 +24,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 
-# Coefficients of 1/Gamma(1+x) = sum_j A[j] x^j  (Abramowitz & Stegun 6.1.34).
-_RGAMMA_A = np.array([
-    1.0000000000000000, 0.5772156649015329, -0.6558780715202538,
-    -0.0420026350340952, 0.1665386113822915, -0.0421977345555443,
-    -0.0096219715278770, 0.0072189432466630, -0.0011651675918591,
-    -0.0002152416741149, 0.0001280502823882, -0.0000201348547807,
-    -0.0000012504934821, 0.0000011330272320, -0.0000002056338417,
-    0.0000000061160950, 0.0000000050020075, -0.0000000011812746,
-    0.0000000001043427, 0.0000000000077823, -0.0000000000036968,
-    0.0000000000005100, -0.0000000000000206, -0.0000000000000054,
-    0.0000000000000014, 0.0000000000000001,
-])
-
 _KV_UNDERFLOW_U = 700.0
+_KV_FLOOR_U = float(np.finfo(float).tiny)   # below it u loses bits
 _LATTICE_RTOL = 1e-12            # lag-lattice detection, relative to |x|
 _KV_CHUNK = 256
 _HYP_BLOCK = 32                  # 2F1 series terms per block
@@ -51,62 +38,9 @@ class SpecfunError(ValueError):
     """
 
 
-def _gam_pair(mu):
-    """gam1 = [1/G(1-mu)-1/G(1+mu)]/(2 mu), gam2 = [1/G(1-mu)+1/G(1+mu)]/2."""
-    mu2 = mu * mu
-    gam1 = 0.0
-    p = 1.0
-    for j in range(1, 26, 2):
-        gam1 -= _RGAMMA_A[j] * p
-        p *= mu2
-    gam2 = 0.0
-    p = 1.0
-    for j in range(0, 26, 2):
-        gam2 += _RGAMMA_A[j] * p
-        p *= mu2
-    return gam1, gam2
-
-
-def _kv_series(nu, x):
-    """Modified Bessel K_nu(x) for 0 < x <= 2 via the Temme-style series."""
-    n = int(math.floor(nu + 0.5))
-    mu = nu - n                      # mu in [-1/2, 1/2]
-    x2 = 0.5 * x
-    d = -np.log(x2)
-    e = mu * d
-    pimu = math.pi * mu
-    fact = pimu / math.sin(pimu) if abs(pimu) > 1e-14 else 1.0 + pimu * pimu / 6.0
-    fact2 = np.where(np.abs(e) > 1e-14, np.sinh(e) / np.where(e == 0, 1.0, e),
-                     1.0 + e * e / 6.0)
-    gam1, gam2 = _gam_pair(mu)
-    gampl = gam2 + mu * gam1         # 1/Gamma(1-mu)
-    gammi = gam2 - mu * gam1         # 1/Gamma(1+mu)
-    ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
-    ksum = ff.copy()
-    ee = np.exp(e)
-    p = 0.5 * ee / gammi             # (1/2)(x/2)^(-mu) Gamma(1+mu)
-    q = 0.5 / (ee * gampl)           # (1/2)(x/2)^(+mu) Gamma(1-mu)
-    c = np.ones_like(x)
-    x2sq = x2 * x2
-    ksum1 = p.copy()
-    for i in range(1, 80):
-        ff = (i * ff + p + q) / (i * i - mu * mu)
-        c *= x2sq / i
-        p = p / (i - mu)
-        q = q / (i + mu)
-        dl = c * ff
-        ksum += dl
-        ksum1 += c * (p - i * ff)
-        if np.max(np.abs(dl)) < np.max(np.abs(ksum)) * 1e-17:
-            break
-    return _kv_upward(mu, n, x, ksum, ksum1 * (2.0 / x))
-
-
 def _kv_upward(mu, n, u, k0, k1):
-    """K_{mu+n}(u) from k0 = K_mu(u) and k1 = K_{mu+1}(u) by the upward
-    recurrence K_{m+1} = K_{m-1} + (2m/u) K_m, stable for K."""
-    if n == 0:
-        return k0
+    """K_{mu+n}(u), n >= 2, from k0 = K_mu(u) and k1 = K_{mu+1}(u) by the
+    upward recurrence K_{m+1} = K_{m-1} + (2m/u) K_m, stable for K."""
     for i in range(n - 1):
         k0, k1 = k1, k0 + (2.0 * (mu + i + 1) / u) * k1
     return k1
@@ -115,62 +49,68 @@ def _kv_upward(mu, n, u, k0, k1):
 def _cosh_rule(u):
     """(t, w), each (len(u), K): the trapezoidal rule for the cosh integral
     int_0^inf e^{-u cosh t} f(t) dt ~ sum_k w[:, k] f(t[:, k]) behind K_nu,
-    its order derivatives and the matrix order K_N; 1-d u in
-    (0, ``_KV_UNDERFLOW_U``].
+    its order derivatives and K_N, for 1-d u >= ``_KV_FLOOR_U`` (SpecfunError
+    below); rows past ``_KV_UNDERFLOW_U`` get zero weights.
 
-    Nodes t = k h run to acosh(745/u), where e^{-u cosh t} underflows;
-    weights are h e^{-u} exp(-2u sinh^2(t/2)), half at t = 0 (the separate
-    e^{-u} spares the exponent u ulps of rounding).  The integrand is even
-    and entire, so the rule converges exponentially (Trefethen & Weideman,
-    SIAM Rev. 2014); its width near 0 is about u^{-1/2}, hence the step
-    min(0.15, 0.6/sqrt(u)): at most 48 nodes above u = 2, about 66 at 0.1.
-    Rows share the longest row's nodes; past its own end a row's weights
-    are below h e^{-745}.
+    Nodes t = k h run to acosh(745/u) = log1p(sqrt(1 - r^2)) - log r,
+    r = u/745 (745/u overflows below 4e-306), where e^{-u cosh t}
+    underflows.  Weights are h e^{-u} exp(-(sqrt(2u) sinh(t/2))^2), half at
+    t = 0 (e^{-u} apart spares the exponent u ulps of rounding; the square
+    stays finite down to the floor).  The integrand is even and entire, so
+    the rule converges exponentially (Trefethen & Weideman, SIAM Rev.
+    2014); its width near 0 is about u^{-1/2}, hence the step min(0.15,
+    0.6/sqrt(u)): 46 nodes at u = 2, 66 at 0.1, 234 at 1e-12, 4773 at the
+    floor.  Rows share the longest row's nodes; past its own end a row's
+    weights are below h e^{-745}.
     """
+    if np.any(u < _KV_FLOOR_U):
+        raise SpecfunError(f"K_nu's cosh rule needs u >= {_KV_FLOOR_U!r}, the "
+                           f"smallest normal double; got {float(np.min(u))!r}")
     h = np.minimum(0.15, 0.6 / np.sqrt(u))
-    k = np.arange(int(np.ceil(np.max(np.arccosh(745.0 / u) / h))) + 1)
-    t = h[:, None] * k
-    w = np.exp(-2.0 * u[:, None] * np.sinh(0.5 * t) ** 2)
-    w *= (h * np.exp(-u))[:, None]
+    r = np.minimum(u / 745.0, 1.0)
+    t_end = np.log1p(np.sqrt((1.0 - r) * (1.0 + r))) - np.log(r)
+    t = h[:, None] * np.arange(int(np.ceil(np.max(t_end / h))) + 1)
+    w = np.sinh(0.5 * t) * np.sqrt(2.0 * u)[:, None]
+    w = np.exp(-w * w) * (h * np.exp(-u))[:, None]
     w[:, 0] *= 0.5
+    w[u > _KV_UNDERFLOW_U] = 0.0
     return t, w
 
 
-def _kv_trapezoid(nu, u):
-    """K_nu(u) = sum_k w_k cosh(nu t_k) on the ``_cosh_rule`` nodes, in
-    chunks of ``_KV_CHUNK`` arguments to bound the (chunk, nodes)
-    temporaries.  The peak of the integrand moves out to sinh t ~ nu/u
-    and sharpens past what the step resolves as nu grows, so from
-    n = round(nu) >= 2 on the rule sums K_mu and K_{mu+1}, mu = nu - n,
-    and ``_kv_upward`` recurs to K_nu, as the series branch does.
-    """
-    n = int(math.floor(nu + 0.5))
-    out = np.empty_like(u)
-    for start in range(0, u.shape[0], _KV_CHUNK):
-        uc = u[start:start + _KV_CHUNK]
-        t, w = _cosh_rule(uc)
-        if n < 2:
-            out[start:start + _KV_CHUNK] = np.sum(w * np.cosh(nu * t), axis=1)
-            continue
-        mu = nu - n
-        k0 = np.sum(w * np.cosh(mu * t), axis=1)
-        k1 = np.sum(w * np.cosh((mu + 1.0) * t), axis=1)
-        out[start:start + _KV_CHUNK] = _kv_upward(mu, n, uc, k0, k1)
+def _cosh_sum(nu, t, w):
+    """sum_k w[:, k] cosh(nu t[:, k]) per row; terms whose cosh overflows are
+    w e^{|nu| t}/2 from logs, so a 0 weight gives 0, not NaN, only a row
+    whose own K_nu overflows is +inf, and finite rows keep their bits."""
+    terms = w * np.cosh(nu * t)
+    out = terms.sum(axis=1)
+    if not np.isfinite(out).all():
+        over = ~np.isfinite(terms)
+        terms[over] = np.exp(np.log(w[over]) + abs(nu) * t[over] - math.log(2))
+        out = terms.sum(axis=1)
     return out
 
 
 def kv_batch(nu, u):
-    """K_nu(u) over a 1-d array: series for u <= 2, trapezoid above, 0 past
-    ``_KV_UNDERFLOW_U``."""
+    """K_nu(u) over a 1-d array: the ``_cosh_rule`` sum up to
+    ``_KV_UNDERFLOW_U``, 0 past it, +inf where K_nu overflows.  Sorted
+    arguments are cut into ``_KV_CHUNK`` rows that share the smallest u's
+    nodes, so each row comes out as if it were alone.  The integrand's peak
+    sharpens as nu grows, so from n = round(nu) >= 2 on the rule sums K_mu
+    and K_{mu+1}, mu = nu - n, and ``_kv_upward`` recurs to K_nu.
+    """
     nu = abs(float(nu))
     u = np.ascontiguousarray(np.asarray(u, dtype=float).ravel())
     out = np.zeros_like(u)
-    small = (u <= 2.0) & (u > 0)
-    large = (u > 2.0) & (u <= _KV_UNDERFLOW_U)
-    if np.any(small):
-        out[small] = _kv_series(nu, u[small])
-    if np.any(large):
-        out[large] = _kv_trapezoid(nu, u[large])
+    live = np.flatnonzero(u <= _KV_UNDERFLOW_U)
+    live = live[np.argsort(u[live], kind="stable")]
+    n = int(math.floor(nu + 0.5))
+    mu = nu - n
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, live.size, _KV_CHUNK):
+            idx = live[start:start + _KV_CHUNK]
+            t, w = _cosh_rule(u[idx])
+            out[idx] = _cosh_sum(nu, t, w) if n < 2 else _kv_upward(
+                mu, n, u[idx], _cosh_sum(mu, t, w), _cosh_sum(mu + 1, t, w))
     return out
 
 

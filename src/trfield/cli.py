@@ -91,6 +91,44 @@ def _integer(value, name, low=None):
     return value
 
 
+def _number(value, name):
+    """``value`` as a float if it is a JSON number; else SchemaError."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, name):
+    """``value`` as an at least 1-d float array if it is a JSON number or a
+    regular list of numbers; else SchemaError."""
+    try:
+        arr = np.atleast_1d(np.asarray(value))
+    except ValueError:                  # a ragged list
+        arr = np.array([None])
+    if arr.dtype.kind not in "iuf":
+        raise SchemaError(f"{name} must be numbers, got {value!r}")
+    return arr.astype(float)
+
+
+def _pairs(config, where):
+    """The config's "pairs" as (2, d) float arrays, one per [x, x2] of two
+    points of one length d (a number is a point of length 1)."""
+    pairs = _require(config, "pairs")
+    out = [_numbers(p, f"{where}: pair") for p in pairs] \
+        if isinstance(pairs, list) else None
+    if out is None or any(len(p) != 2 or p.ndim > 2 for p in out):
+        raise SchemaError(f"{where}: pairs must be a list of [x, x2]")
+    return [p.reshape(2, -1) for p in out]
+
+
+def _paths(value, name):
+    """``value`` if it is a list of file paths; else SchemaError."""
+    if not isinstance(value, list) or not all(isinstance(p, str)
+                                              for p in value):
+        raise SchemaError(f"{name} must be a list of paths, got {value!r}")
+    return value
+
+
 def _sha256_bytes(blob):
     return hashlib.sha256(blob).hexdigest()
 
@@ -166,10 +204,8 @@ def _cmd_cov(config, run, args):
     spec_doc = _require(config, "spec")
     method = config.get("method")
     model = _load_cov_model(spec_doc, method)
-    pairs = _require(config, "pairs")
     lines = ["x,x2,i,j,value"]
-    for pair in pairs:
-        x, x2 = np.asarray(pair[0], float), np.asarray(pair[1], float)
+    for x, x2 in _pairs(config, "cov"):
         cov = model.evaluate(x, x2)
         for i in range(cov.shape[0]):
             for j in range(cov.shape[1]):
@@ -231,6 +267,10 @@ def _cmd_simulate(config, run, args):
             reals = [reals]
     elif method == "tfsm":
         igrid = GridSpec.from_json(_require(config, "integration_grid"))
+        if grid.d != 1 or igrid.d != 1:
+            raise SimulationConfigError(
+                f"simulate tfsm: the grid and the integration grid must be "
+                f"1-d, got d = {grid.d} and {igrid.d}")
         vals = tfsm_synthesis(
             _require(config, "hurst"), _require(config, "alpha"),
             _require(config, "lambda"), grid.sites()[:, 0], igrid, seed,
@@ -256,7 +296,8 @@ def _cmd_estimate(config, run, args):
     estimator = _require(config, "estimator")
     if estimator == "directional_holder":
         if "realizations" in config:
-            reals = [Realization.load(p) for p in config["realizations"]]
+            reals = [Realization.load(p) for p in _paths(
+                config["realizations"], "estimate: realizations")]
             rep = directional_holder(
                 realizations=reals, direction=config.get("direction", [1.0]),
                 target=config.get("target"),
@@ -265,12 +306,13 @@ def _cmd_estimate(config, run, args):
             spec_doc = _require(config, "spec")
             h = _require(spec_doc, "h", "spec")
             lam = _require(spec_doc, "lambda", "spec")
-            lags = np.asarray(_require(config, "lags"), float)
+            lags = _numbers(_require(config, "lags"), "estimate: lags")
             rep = directional_holder(
                 variogram=lambda t: tfbm_variogram(h, lam, t), lags=lags,
                 target=config.get("target"), tolerance=config.get("tolerance"))
     elif estimator == "box_dimension":
-        reals = [Realization.load(p) for p in _require(config, "realizations")]
+        reals = [Realization.load(p) for p in _paths(
+            _require(config, "realizations"), "estimate: realizations")]
         rep = box_dimension(reals, scales=config.get("scales"),
                             target=config.get("target"),
                             tolerance=config.get("tolerance"))
@@ -299,17 +341,17 @@ def _cmd_estimate(config, run, args):
 
 def _cmd_xcheck(config, run, args):
     check = _require(config, "check")
-    h = float(_require(config, "h"))
-    lam = float(_require(config, "lambda"))
-    d = int(config.get("d", 1))
-    rtol = float(config.get("rtol", 1e-4)) * args.tolerance_scale
-    pairs = _require(config, "pairs")
+    h = _number(_require(config, "h"), "xcheck: h")
+    lam = _number(_require(config, "lambda"), "xcheck: lambda")
+    d = _integer(config.get("d", 1), "xcheck: d", 1)
+    rtol = _number(config.get("rtol", 1e-4), "xcheck: rtol") \
+        * args.tolerance_scale
+    pairs = _pairs(config, "xcheck")
     spec_variant = "IBTOFBF" if check.startswith("ibtofbf") else "ITOFBF"
     spec = IsotropicGaussianSpec(spec_variant, d, 1, lam, [[h]])
     rows = []
     worst = 0.0
-    for pair in pairs:
-        x, x2 = np.asarray(pair[0], float), np.asarray(pair[1], float)
+    for x, x2 in pairs:
         if check == "ibtofbf_closed_vs_spectral":
             a = ibtofbf_cov(spec, x, x2)[0, 0]
             b = ibtofbf_cov_spectral_quadrature(

@@ -95,6 +95,9 @@ class IsotropicGaussianSpec:
 
     @classmethod
     def from_json(cls, doc):
+        for key in ("variant", "d", "n", "lambda", "H"):
+            if key not in doc:
+                raise CovarianceError(f"isotropic spec missing '{key}'")
         return cls(doc["variant"], doc["d"], doc["n"], doc["lambda"],
                    np.array(doc["H"], dtype=float))
 

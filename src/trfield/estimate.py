@@ -285,10 +285,10 @@ def scaling_law_check(spec, c, sites, seed=None, n_draws=0,
     compared within 3 standard errors.
     """
     sites = [np.atleast_1d(np.asarray(s, dtype=float)) for s in sites]
+    cov_fn = itofbf_cov if spec.variant == "ITOFBF" else ibtofbf_cov
     worst = 0.0
     for a in sites:
         for b in sites:
-            cov_fn = itofbf_cov if spec.variant == "ITOFBF" else ibtofbf_cov
             lhs = cov_fn(spec, c * a, c * b)
             rhs = _scaled_cov(spec, c, a, b)
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
@@ -299,7 +299,6 @@ def scaling_law_check(spec, c, sites, seed=None, n_draws=0,
         vals = synthesizer(seed, n_draws)      # (draws, len(sites))
         for i, a in enumerate(sites):
             emp = float(np.var(vals[:, i]))
-            cov_fn = itofbf_cov if spec.variant == "ITOFBF" else ibtofbf_cov
             target = float(_scaled_cov(spec, c, a, a)[0, 0])
             se = emp * math.sqrt(2.0 / n_draws)
             extras[f"mc_site{i}"] = {"empirical": emp, "target": target,

@@ -79,6 +79,8 @@ class MeasureSpec:
 
     @classmethod
     def from_json(cls, doc, n):
+        if not isinstance(doc, dict) or "variant" not in doc:
+            raise KernelError("measure document missing 'variant'")
         return cls(doc["variant"], alphas=doc.get("alphas"), n=n)
 
 
@@ -225,6 +227,8 @@ class FieldSpec:
         e_mat = MatrixExponent(np.array(doc["E"], dtype=float))
         h_mat = MatrixExponent(np.array(doc["H"], dtype=float))
         phi_doc = doc["phi"]
+        if not isinstance(phi_doc, dict) or "variant" not in phi_doc:
+            raise KernelError("phi document missing 'variant'")
         phi_e = e_mat.entries.T if doc["flavor"] == "H" else e_mat.entries
         phi = EHomogeneousFn(phi_doc["variant"], phi_e,
                              rho=phi_doc.get("rho"))

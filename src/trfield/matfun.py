@@ -340,9 +340,7 @@ def bessel_k_stem(u):
     ``_fast._cosh_rule``, which also give K_nu and ``matrix_bessel_k``."""
     if u <= 0:
         raise MatfunError("bessel_k_stem requires u > 0")
-    t = w = np.zeros(0)
-    if u <= _fast._KV_UNDERFLOW_U:
-        t, w = (x[0] for x in _fast._cosh_rule(np.array([float(u)])))
+    t, w = (x[0] for x in _fast._cosh_rule(np.array([float(u)])))
     return StemFunction(f"bessel_k[{u}]", lambda k, z: complex(
         np.dot(w, _cosh_derivative(k, complex(z), t))))
 
@@ -391,8 +389,6 @@ def matrix_bessel_k(n_mat, u):
     if u <= 0:
         raise MatfunError("matrix_bessel_k requires u > 0")
     a = _as_matrix(n_mat)
-    if u > _fast._KV_UNDERFLOW_U:
-        return np.zeros(a.shape)
     t, w = _fast._cosh_rule(np.array([float(u)]))
     nt = t[0, :, None, None] * a
     e = expm(np.concatenate([nt, -nt]))

@@ -365,6 +365,14 @@ def _line_sum(coef, x0, h, n, xi0, dxi):
     return out
 
 
+def _same_dimension(what, spec, *grids):
+    """SimulationConfigError unless every grid has the field's dimension."""
+    if any(grid.d != spec.d for grid in grids):
+        raise SimulationConfigError(
+            f"{what}: the field has d = {spec.d}, the grids have "
+            f"d = {[grid.d for grid in grids]}")
+
+
 def spectral_synthesis(spec, grid, seed, n_draws=1, xi_max=None,
                        count_per_axis=512):
     """Hermitian-symmetric Riemann-sum synthesis of a harmonizable field.
@@ -384,6 +392,7 @@ def spectral_synthesis(spec, grid, seed, n_draws=1, xi_max=None,
     exactly 0 there, and sum c otherwise.  A block of draws holds about
     ``_NOISE_BLOCK_BYTES`` of work, 16 n (M + N) bytes per draw.
     """
+    _same_dimension("spectral synthesis", spec, grid)
     density, n, p_decay, lam = _spectral_density_for(spec)
     if xi_max is None:
         xi_max = spectral_tail_cutoff(p_decay, lam, grid.d)
@@ -563,6 +572,7 @@ def sas_truncation_report(spec, grid, integration_grid):
     site; the outside part is a crude exponential-envelope upper bound
     integrated beyond the covered phi-distance.
     """
+    _same_dimension("SaS truncation report", spec, grid, integration_grid)
     alpha = min(spec.measure.alphas) if spec.measure.alphas else 2.0
     lam, m_phi = spec.lambda_, spec.phi.extrema()[0]
     sites = grid.sites()
@@ -593,6 +603,7 @@ def ma_synthesis(spec, grid, integration_grid, seed, n_draws=1,
     with the same seed the sas(alpha=2) output is exactly sqrt(2) times
     the gaussian output.
     """
+    _same_dimension("ma synthesis", spec, grid, integration_grid)
     report = existence_check(spec)
     if not report.ok:
         raise SimulationError(f"existence check failed: {report.margins}")

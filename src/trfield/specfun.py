@@ -1,9 +1,10 @@
 """Scalar special functions used by the covariance formulas.
 
 Gamma/Beta via the Lanczos approximation, the modified Bessel function
-K_nu (Temme-style series for small argument, trapezoidal cosh integral
-elsewhere), the Bessel function J_nu, and the Gauss hypergeometric 2F1
-restricted to nonpositive real argument.
+K_nu (one trapezoidal rule on the cosh integral at every argument from the
+smallest normal double, SpecfunError below, to 700, 0 above; +inf where
+it overflows), the Bessel function J_nu, and the Gauss hypergeometric
+2F1 restricted to nonpositive real argument.
 """
 
 import cmath
@@ -95,20 +96,14 @@ def bessel_k(nu, u, with_flag=False):
     Symmetric in nu.  For u above 700 the value underflows; 0.0 is
     returned and, with ``with_flag=True``, flagged.
     """
-    if u <= 0:
-        raise SpecfunError("bessel_k requires u > 0")
-    underflow = u > _fast._KV_UNDERFLOW_U
-    val = 0.0 if underflow else float(_fast.kv_batch(nu, [u])[0])
-    if with_flag:
-        return val, underflow
-    return val
+    val = float(bessel_k_batch(nu, u))
+    return (val, u > _fast._KV_UNDERFLOW_U) if with_flag else val
 
 
 def bessel_k_batch(nu, u):
-    """Vectorized K_nu over an array of positive arguments."""
+    """Vectorized K_nu over an array of arguments; SpecfunError for u below
+    the smallest normal double, so for every u <= 0."""
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise SpecfunError("bessel_k requires u > 0")
     return _fast.kv_batch(nu, u.ravel()).reshape(u.shape)
 
 

@@ -422,3 +422,76 @@ def test_simulate_bad_seed_refused_before_gram(tmp_path, capsys,
     code, _ = run(tmp_path, "simulate", doc)
     assert code == EXIT_SCHEMA
     assert "outside the range [0, 2^64)" in capsys.readouterr().err
+
+
+GRID_1D = {"ranges": [[0.0, 1.0]], "counts": [5]}
+GRID_2D = {"ranges": [[0.0, 1.0], [0.0, 1.0]], "counts": [5, 5]}
+IGRID_2D = {"ranges": [[-50.0, 51.0], [-50.0, 51.0]], "counts": [8, 8]}
+SAS_SPEC = dict(MA_SPEC, measure={"variant": "sas", "alphas": [1.5]})
+
+
+@pytest.mark.parametrize("doc", [
+    {"method": "spectral", "grid": GRID_1D,
+     "spec": {"variant": "IBTOFBF", "d": 2, "n": 1, "lambda": 1.0,
+              "H": [[0.7]]}},
+    {"method": "ma", "spec": MA_SPEC, "grid": GRID_2D,
+     "integration_grid": IGRID_2D},
+    {"method": "ma", "spec": MA_SPEC, "grid": GRID_1D,
+     "integration_grid": IGRID_2D},
+    {"method": "ma", "spec": SAS_SPEC, "grid": GRID_1D,
+     "integration_grid": IGRID_2D},
+    dict(TFSM_DOC, grid=GRID_2D),
+    dict(TFSM_DOC, integration_grid=IGRID_2D),
+], ids=["spectral", "ma_grid", "ma_integration_grid",
+        "ma_sas_integration_grid", "tfsm_grid", "tfsm_integration_grid"])
+def test_simulate_grid_of_another_dimension_exits_schema(
+        tmp_path, capsys, monkeypatch, doc):
+    # a d = 2 field on a line, or a line field on a plane, is refused
+    # before any noise is drawn
+    from trfield import simulate
+
+    def draws(*args, **kwargs):
+        raise AssertionError("synthesis ran on a grid of another dimension")
+
+    for name in ("_spectral_density_for", "_draw_products"):
+        monkeypatch.setattr(simulate, name, draws)
+    code, out = run(tmp_path, "simulate", dict(doc, seed=1))
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "config error" in err and "d = " in err
+    assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
+
+
+IB_SPEC = {"variant": "IBTOFBF", "d": 1, "n": 1, "lambda": 0.5,
+           "H": [[0.7]]}
+XCHECK_DOC = {"check": "ibtofbf_closed_vs_spectral", "h": 0.7,
+              "lambda": 1.0, "d": 1, "pairs": [[[1.0], [0.4]]]}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("check", {"spec": dict(MA_SPEC, phi={})}),
+    ("check", {"spec": dict(MA_SPEC, measure={"alphas": [1.5]})}),
+    ("cov", {"spec": {k: v for k, v in IB_SPEC.items() if k != "lambda"},
+             "pairs": [[[1.0], [0.4]]]}),
+    ("cov", {"spec": {k: v for k, v in IB_SPEC.items() if k != "H"},
+             "pairs": [[[1.0], [0.4]]]}),
+    ("xcheck", dict(XCHECK_DOC, d="two")),
+    ("xcheck", dict(XCHECK_DOC, h="0.7x")),
+    ("xcheck", dict(XCHECK_DOC, pairs=3)),
+    ("cov", {"spec": IB_SPEC, "pairs": [[[1.0]]]}),
+    ("xcheck", dict(XCHECK_DOC, pairs=[[[1.0]]])),
+    ("cov", {"spec": IB_SPEC, "pairs": [[[1.0], [0.4, 0.2]]]}),
+    ("xcheck", dict(XCHECK_DOC, pairs=[[[1.0, 0.0], [0.4]]])),
+    ("estimate", {"estimator": "directional_holder", "lags": "abc",
+                  "spec": {"h": 0.6, "lambda": 0.2}}),
+    ("estimate", {"estimator": "box_dimension", "realizations": "x.trf"}),
+], ids=["check_phi_without_variant", "check_measure_without_variant",
+        "cov_spec_without_lambda", "cov_spec_without_H", "xcheck_d_string",
+        "xcheck_h_string", "xcheck_pairs_number", "cov_one_point_pair",
+        "xcheck_one_point_pair", "cov_pair_lengths_differ",
+        "xcheck_pair_lengths_differ", "holder_lags_string",
+        "box_realizations_string"])
+def test_malformed_config_exits_schema(tmp_path, capsys, command, doc):
+    code, _ = run(tmp_path, command, doc)
+    assert code == EXIT_SCHEMA
+    assert "config error" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from trfield.matfun import (MatfunError, MatrixExponent, StemFunction,
                             bessel_k_stem, cosh_stem, expm, gamma_stem,
                             matrix_bessel_k, matrix_power, power_stem,
                             primary_matrix_fn, spectral_bounds)
-from trfield.specfun import bessel_k
+from trfield.specfun import SpecfunError, bessel_k
 
 
 def _random_matrix(rng, n, scale=1.0):
@@ -211,9 +211,22 @@ def test_matrix_bessel_scalar_reduces_to_kv():
 
 
 def test_matrix_bessel_agrees_with_scalar_bessel_k():
-    for u in (0.01, 0.1, 1.0, 5.0, 50.0):
-        a = matrix_bessel_k(np.array([[0.37]]), u)[0, 0]
-        assert a == pytest.approx(bessel_k(0.37, u), rel=1e-10)
+    # below order 3/2 all three sum K_nu on the same cosh-rule nodes
+    for u in (1e-12, 0.01, 0.1, 1.0, 2.0, 5.0, 50.0):
+        for nu in (0.0, 0.37, 1.2):
+            k = bessel_k(nu, u)
+            assert matrix_bessel_k(np.array([[nu]]), u)[0, 0] == \
+                pytest.approx(k, rel=1e-14)
+            assert bessel_k_stem(u).derivative(0, nu) == \
+                pytest.approx(k, rel=1e-14)
+
+
+@pytest.mark.parametrize("u", [1e-310, 5e-324])
+def test_matrix_and_stem_bessel_refuse_arguments_below_the_rule_floor(u):
+    with pytest.raises(SpecfunError, match="cosh rule"):
+        matrix_bessel_k(np.array([[0.4, 0.1], [0.0, 0.7]]), u)
+    with pytest.raises(SpecfunError, match="cosh rule"):
+        bessel_k_stem(u)
 
 
 def test_matrix_bessel_eigenbasis_oracle(rng):

@@ -94,10 +94,10 @@ def test_bessel_k_symmetric_in_order(nu, u):
 @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.3, 2.7, 4.2])
 def test_kv_batch_mpmath_oracle(nu):
     mpmath = pytest.importorskip("mpmath")
-    u = np.concatenate([np.geomspace(2.0, 700.0, 97),
+    u = np.concatenate([np.geomspace(1e-12, 700.0, 161),
                         [np.nextafter(2.0, 3.0), 2.0 + 1e-7, 699.99]])
     expect = np.array([float(mpmath.besselk(nu, ui)) for ui in u])
-    np.testing.assert_allclose(_fast.kv_batch(nu, u), expect, rtol=1e-12)
+    np.testing.assert_allclose(_fast.kv_batch(nu, u), expect, rtol=1e-13)
 
 
 @pytest.mark.parametrize("nu", [10.0, 30.0, 60.0, 100.0, 150.0])
@@ -117,7 +117,7 @@ def test_kv_batch_scipy_oracle(nu):
     # the orders and arguments of the two mpmath oracle tests above, against
     # a second, independent K_nu; entries that under- or overflow are skipped
     special = pytest.importorskip("scipy.special")
-    u = np.concatenate([np.geomspace(2.0, 700.0, 97),
+    u = np.concatenate([np.geomspace(1e-12, 700.0, 161),
                         [np.nextafter(2.0, 3.0), 2.0 + 1e-7, 699.99],
                         [2.5, 5.0, 20.0, 50.0, 200.0]])
     expect = special.kv(nu, u)
@@ -145,11 +145,36 @@ def test_kv_batch_low_order_sums_cosh_rule_directly(nu):
                                   np.sum(w * np.cosh(nu * t), axis=1))
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.3, 2.7, 4.2])
-def test_kv_batch_continuous_across_series_switch(nu):
-    # u <= 2 takes the series, u > 2 the trapezoid
-    below, above = _fast.kv_batch(nu, [2.0, np.nextafter(2.0, 3.0)])
-    assert above == pytest.approx(below, rel=1e-13)
+@pytest.mark.parametrize("nu", [0.0, 0.25, 0.3, 0.5, 1.3, 1.4, 2.7, 3.3,
+                                4.2])
+def test_kv_batch_rows_match_single_argument(nu):
+    # a row's value must not depend on what else is in the batch: tiny u
+    # lengthen their chunk's nodes, and K_nu overflows to +inf there
+    mpmath = pytest.importorskip("mpmath")
+    u = np.array([1e-300, 1e-100, 1e-30, 1e-12, 0.3, 2.0,
+                  np.nextafter(2.0, 3.0), 50.0, 699.0])
+    got = _fast.kv_batch(nu, u)
+    alone = np.array([_fast.kv_batch(nu, [ui])[0] for ui in u])
+    expect = np.array([float(mpmath.besselk(nu, ui)) for ui in u])
+    assert not np.isnan(got).any()
+    finite = np.isfinite(expect)
+    assert np.all(got[~finite] == np.inf) and np.all(alone[~finite] == np.inf)
+    np.testing.assert_allclose(got[finite], alone[finite], rtol=1e-15)
+    np.testing.assert_allclose(got[finite], expect[finite], rtol=1e-13)
+    assert got[6] == pytest.approx(got[5], rel=1e-13)     # across u = 2
+
+
+@pytest.mark.parametrize("u", [np.nextafter(_fast._KV_FLOOR_U, 0.0), 1e-310,
+                               5e-324])
+def test_k_nu_refuses_arguments_below_the_rule_floor(u):
+    # below the smallest normal double the cosh rule is not accurate: a
+    # typed error, never NaN, OverflowError or a wrong value
+    with pytest.raises(SpecfunError, match="cosh rule"):
+        _fast.kv_batch(0.5, [1.0, u])
+    with pytest.raises(SpecfunError, match="cosh rule"):
+        bessel_k(0.5, u)
+    assert _fast.kv_batch(0.5, [_fast._KV_FLOOR_U])[0] == pytest.approx(
+        math.sqrt(math.pi / (2 * _fast._KV_FLOOR_U)), rel=1e-15)
 
 
 def test_bessel_k_small_u_asymptote():
