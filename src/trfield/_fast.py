@@ -50,7 +50,7 @@ def _cosh_rule(u):
     """(t, w), each (len(u), K): the trapezoidal rule for the cosh integral
     int_0^inf e^{-u cosh t} f(t) dt ~ sum_k w[:, k] f(t[:, k]) behind K_nu,
     its order derivatives and K_N, for 1-d u >= ``_KV_FLOOR_U`` (SpecfunError
-    below); rows past ``_KV_UNDERFLOW_U`` get zero weights.
+    below and for NaN); rows past ``_KV_UNDERFLOW_U`` get zero weights.
 
     Nodes t = k h run to acosh(745/u) = log1p(sqrt(1 - r^2)) - log r,
     r = u/745 (745/u overflows below 4e-306), where e^{-u cosh t}
@@ -63,7 +63,7 @@ def _cosh_rule(u):
     floor.  Rows share the longest row's nodes; past its own end a row's
     weights are below h e^{-745}.
     """
-    if np.any(u < _KV_FLOOR_U):
+    if not np.all(u >= _KV_FLOOR_U):
         raise SpecfunError(f"K_nu's cosh rule needs u >= {_KV_FLOOR_U!r}, the "
                            f"smallest normal double; got {float(np.min(u))!r}")
     h = np.minimum(0.15, 0.6 / np.sqrt(u))
@@ -101,7 +101,7 @@ def kv_batch(nu, u):
     nu = abs(float(nu))
     u = np.ascontiguousarray(np.asarray(u, dtype=float).ravel())
     out = np.zeros_like(u)
-    live = np.flatnonzero(u <= _KV_UNDERFLOW_U)
+    live = np.flatnonzero(~(u > _KV_UNDERFLOW_U))     # NaN reaches the rule
     live = live[np.argsort(u[live], kind="stable")]
     n = int(math.floor(nu + 0.5))
     mu = nu - n

@@ -165,10 +165,10 @@ def test_kv_batch_rows_match_single_argument(nu):
 
 
 @pytest.mark.parametrize("u", [np.nextafter(_fast._KV_FLOOR_U, 0.0), 1e-310,
-                               5e-324])
+                               5e-324, float("nan")])
 def test_k_nu_refuses_arguments_below_the_rule_floor(u):
     # below the smallest normal double the cosh rule is not accurate: a
-    # typed error, never NaN, OverflowError or a wrong value
+    # typed error, never NaN, OverflowError or a wrong value (NaN gave 0)
     with pytest.raises(SpecfunError, match="cosh rule"):
         _fast.kv_batch(0.5, [1.0, u])
     with pytest.raises(SpecfunError, match="cosh rule"):
