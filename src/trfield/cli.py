@@ -267,10 +267,9 @@ def _cmd_simulate(config, run, args):
             reals = [reals]
     elif method == "tfsm":
         igrid = GridSpec.from_json(_require(config, "integration_grid"))
-        if grid.d != 1 or igrid.d != 1:
+        if grid.d != 1:
             raise SimulationConfigError(
-                f"simulate tfsm: the grid and the integration grid must be "
-                f"1-d, got d = {grid.d} and {igrid.d}")
+                f"simulate tfsm: the grid must be 1-d, got d = {grid.d}")
         vals = tfsm_synthesis(
             _require(config, "hurst"), _require(config, "alpha"),
             _require(config, "lambda"), grid.sites()[:, 0], igrid, seed,

@@ -196,114 +196,123 @@ def _pinned_point_variance(v_pos, n, x):
 # ---------------------------------------------------------------------------
 # building-block integrals for the exponentially tempered kernel
 
-def _t_integral(a, b, s):
-    """int_0^inf e^{-s v} v^a (1+v)^b dv for a > -1, at every s > 0 of an
-    array (one vector-valued quadrature; the tail bound is taken at the
-    smallest s, whose integrand decays slowest)."""
-    s = np.asarray(s, dtype=float)
-
-    def f(v):
-        v = v[:, None]
-        return np.exp(-s * v) * v ** a * (1 + v) ** b
-
-    head, _ = adaptive_gk(f, 0.0, 1.0, rtol=1e-13, atol=1e-300,
-                          max_intervals=16384)
-    s_min = float(s.min())
-
-    def tail_bound(r):
-        expo = -s_min * r + max(a + b, 0.0) * math.log(r) if r > 1 \
-            else -s_min * r
-        return 4.0 * 2.0 ** abs(b) * math.exp(max(expo, -745.0)) / s_min
-
-    tail = integrate_decaying(
-        f, 1.0, rtol=1e-13, atol=1e-300 + 1e-15 * float(np.max(np.abs(head))),
-        first_width=1.0, tail_bound=tail_bound)
-    return head + tail
-
-
 def _cross_integral(nu, nup, mu, d):
-    """X = int e^{-mu(|y| + |y-e1|)} |y|^nu |y-e1|^nup dy over R^d, at every
-    mu > 0 of an array."""
+    """X = int e^{-mu(|y| + |y-e1|)} |y|^nu |y-e1|^nup dy over R^d at every
+    mu > 0 of an array.  With foci 0 and e1 (half-lines at d = 1, elliptic
+    and prolate spheroidal coordinates at d = 2, 3), |y| + |y-e1| = cosh u
+    and X = int_0^inf e^{-mu cosh u} R(u) du, R free of mu (powers a, b of
+    |y|, |y-e1|; plus e^{-mu} B(nu+1, nup+1) from [0, 1] at d = 1): one
+    ``integrate_decaying`` over t = sqrt(u), smooth where R has fractional
+    powers of u, for all mu, each divided by G (``_gauss_term``), which X is
+    subtracted from.  Past cosh u = 2 both distances lie in [cosh u/4,
+    3 cosh u/4], so R <= k cosh^c u sinh u (no sinh u at d = 2), c = a + b,
+    and int_s^inf e^{-mu t} t^c dt <= e^{-mu s} s^c/(mu - c_+/s)."""
     mu = np.asarray(mu, dtype=float)
-    if d == 1:
-        t1 = _t_integral(nu, nup, 2.0 * mu)
-        t2 = t1 if nup == nu else _t_integral(nup, nu, 2.0 * mu)
-        return np.exp(-mu) * (beta_fn(nu + 1.0, nup + 1.0) + t1 + t2)
-    if d == 2:
-        inner = _cross_inner_d2
-    elif d == 3:
-        inner = _cross_inner_d3
-    else:
+    if d not in (1, 2, 3):
         raise CovarianceError("cross integral implemented for d <= 3")
-    out = np.empty(mu.shape)
-    for k, m in enumerate(mu.ravel().tolist()):
-        out.flat[k] = _cross_integral_outer(inner, nu, nup, m, d)
-    return out
-
-
-def _cross_integral_outer(inner, nu, nup, mu, d):
-    """Radial integral over [0, inf) of the weighted angular ``inner``,
-    which integrates all outer nodes of one refinement step at once."""
-    def outer(rho_arr):
-        return inner(rho_arr, nu, nup, mu)
-
-    head, _ = adaptive_gk(outer, 0.0, 2.0, rtol=1e-9, atol=1e-300,
-                          points=(1.0,), max_intervals=8192)
-
-    def tail_bound(r):
-        expo = -2.0 * mu * r + (nu + nup + d - 1) * math.log(max(r, 1.0))
-        return _surface_area(d) * math.exp(max(expo, -745.0)) / mu
-
-    return head + integrate_decaying(outer, 2.0, rtol=1e-9,
-                                     atol=1e-12 * abs(head) + 1e-300,
-                                     first_width=1.0, tail_bound=tail_bound)
-
-
-# The inner integrals below run one vector-valued quadrature for all outer
-# nodes rho at once.  Each component carries the outer weight
-# e^{-mu rho} rho^{nu+d-1}, so that the shared error criterion (relative to
-# the largest component) measures every component's error on the scale of
-# its contribution to the outer integral.
-
-def _cross_inner_d2(rho, nu, nup, mu):
-    """e^{-mu rho} rho^{nu+1} int_{S^1} e^{-mu s} s^nup dtheta with
-    s = |rho e_theta - e1|, for an array of rho > 0."""
-    a, b = np.abs(rho - 1.0), rho + 1.0
-    c2 = 0.5 * (a * a + b * b)
-    w2 = 0.5 * (b * b - a * a)
-    weight = np.exp(-mu * rho) * rho ** (nu + 1.0)
-
-    def f(phi):
-        s = np.sqrt(np.maximum(c2 + w2 * np.sin(phi)[:, None], 0.0))
-        s = np.maximum(s, 1e-300)
-        return weight * np.exp(-mu * s) * s ** nup
-
-    val, _ = adaptive_gk(f, -0.5 * math.pi, 0.5 * math.pi,
-                         rtol=1e-10, atol=1e-300, max_intervals=4096)
-    return 2.0 * val
-
-
-def _cross_inner_d3(rho, nu, nup, mu):
-    """e^{-mu rho} rho^{nu+2} (2 pi / rho) int_{|rho-1|}^{rho+1}
-    e^{-mu s} s^{nup+1} ds for an array of rho > 0; s = a + (b - a) t
-    maps every component to t in [0, 1]."""
-    a, b = np.abs(rho - 1.0), rho + 1.0
-    weight = 2.0 * math.pi * (b - a) / rho \
-        * np.exp(-mu * rho) * rho ** (nu + 2.0)
+    a, b = (nu, nup) if d == 1 else (nu + 1.0, nup + 1.0)
+    profile = (_focal_profile_d1, _focal_profile_d2, _focal_profile_d3)[d - 1]
+    scale = _gauss_term(nu, nup, mu, d)
+    c = a + b
+    k = (1.0 if d == 1 else 2.0 * math.pi) * 2.0 ** (abs(a) + abs(b) - c)
 
     def f(t):
-        s = a + (b - a) * t[:, None]
-        return weight * np.exp(-mu * s) * s ** (nup + 1.0)
+        u = t * t
+        return (2.0 * t * profile(a, b, u))[:, None] \
+            * np.exp(np.cosh(u)[:, None] * -mu) / scale
 
-    val, _ = adaptive_gk(f, 0.0, 1.0, rtol=1e-11, atol=1e-300,
-                         max_intervals=4096)
-    return val
+    def tail_bound(r):
+        s = math.cosh(r * r)
+        rate = mu - max(c, 0.0) / s
+        if s < 2.0 or rate.min() <= 0.0:
+            return math.inf
+        tail = k * np.exp(c * math.log(s) - mu * s) / (rate * scale)
+        return float(tail.max()) / (math.sinh(r * r) if d == 2 else 1.0)
+
+    x = scale * integrate_decaying(f, 0.0, rtol=1e-13, atol=1e-15,
+                                   first_width=1.0, tail_bound=tail_bound)
+    if d == 1:
+        x += np.exp(-mu) * beta_fn(nu + 1.0, nup + 1.0)
+    return x
+
+
+def _swap_sum(x, y, a, b):
+    """x^a y^b + x^b y^a."""
+    g = x ** a * y ** b
+    return 2.0 * g if a == b else g + x ** b * y ** a
+
+
+def _focal_profile_d1(a, b, u):
+    """(sinh u / 2) (s1^a s2^b + s1^b s2^a), d = 1: on the half-lines
+    y = (1 -+ cosh u)/2, {|y|, |y-e1|} = {cosh^2(u/2), sinh^2(u/2)}."""
+    sh, ch = np.sinh(0.5 * u), np.cosh(0.5 * u)
+    return sh * ch * _swap_sum(ch * ch, sh * sh, a, b)
+
+
+def _focal_profile_d2(a, b, u):
+    """2 int_0^pi s1^a s2^b dv, a, b > 0, d = 2 (area element s1 s2 du dv,
+    s1 = (cosh u + cos v)/2, s2 = (cosh u - cos v)/2), one vector-valued
+    quadrature for all u.  v -> pi - v swaps s1 and s2, so v runs over
+    [0, pi/2], where only s2 = sinh^2(u/2) + sin^2(v/2) can vanish, near its
+    branch points v = -+i u: v = u sinh(t L), L = asinh(pi/(2u)), resolves
+    them.  Each u is divided by pi (cosh u / 2)^{a+b}, about its size."""
+    sh2 = np.sinh(0.5 * u) ** 2
+    ch2 = 1.0 + sh2
+    big_l = np.arcsinh(0.5 * math.pi / u)
+    norm = math.pi * (0.5 * (ch2 + sh2)) ** (a + b)
+
+    def f(t):
+        tl = t[:, None] * big_l
+        sv2 = np.sin(0.5 * u * np.sinh(tl)) ** 2
+        return _swap_sum(ch2 - sv2, sh2 + sv2, a, b) * np.cosh(tl) \
+            * (u * big_l / norm)
+
+    val, _ = adaptive_gk(f, 0.0, 1.0, rtol=1e-13, atol=1e-300)
+    return 2.0 * norm * val
+
+
+def _lower_beta(p, q, w):
+    """Incomplete beta B_w(p, q), 0 <= w < 1/2, by Pfaff's transformation:
+    2F1(p, p+q; p+1; w/(w-1)) at arguments in (-1, 0]."""
+    return w ** p / p * (1.0 - w) ** (-p) \
+        * hyp2f1_batch(p, p + q, p + 1.0, w / (w - 1.0))
+
+
+def _focal_profile_d3(a, b, u):
+    """pi sinh u P(cosh u), d = 3 (volume element pi s1 s2 dsigma dtau):
+    P(sigma) = int_{-1}^1 s1^a s2^b dtau, s1, s2 = (sigma +- tau)/2.  Below
+    sigma = 2 it is 2 sigma^{a+b+1} (B(a+1, b+1) - B_w(a+1, b+1) -
+    B_w(b+1, a+1)), w = (sigma-1)/(2 sigma); above, where that cancels,
+    20-point Gauss-Legendre in tau (branch points tau = -+sigma)."""
+    sh2 = np.sinh(0.5 * u) ** 2
+    sigma = 1.0 + 2.0 * sh2
+    out = np.empty_like(u)
+    near = sigma < 2.0
+    s, w = sigma[near], sh2[near] / sigma[near]
+    tails = _lower_beta(a + 1.0, b + 1.0, w)
+    tails = 2.0 * tails if a == b else tails + _lower_beta(b + 1.0, a + 1.0, w)
+    out[near] = 2.0 * s ** (a + b + 1.0) * (beta_fn(a + 1.0, b + 1.0) - tails)
+    s = sigma[~near, None]
+    x, wt = gauss_legendre(20)
+    out[~near] = (((s + x) / 2.0) ** a * ((s - x) / 2.0) ** b) @ wt
+    return math.pi * np.sinh(u) * out
+
+
+def _gauss_term(nu, nup, mu, d):
+    """G = int e^{-2 mu |y|} |y|^{nu+nup} dy over R^d, at every mu > 0."""
+    return _surface_area(d) * gamma_fn(nu + nup + d) \
+        / (2.0 * mu) ** (nu + nup + d)
 
 
 def _pair_integral_ma(spec, i, j, mu):
-    """I(h_i, h_j; mu): unit-displacement kernel product integral, for a
-    scalar mu or an array of them.  Values are cached per mu on the spec;
-    the uncached mu go through one batched quadrature."""
+    """I(h_i, h_j; mu) = int (k(e1-y) - k(-y)) (k'(e1-y) - k'(-y)) dy with
+    k(y) = e^{-mu|y|} |y|^nu, nu = h_i - d/2 (nup for k'), the
+    unit-displacement kernel product integral, for a scalar mu or an array
+    of them: 2 (G - X), G from ``_gauss_term`` and X from one
+    ``_cross_integral`` call for all uncached mu.  At mu = 0 (d = 1 only)
+    it is the Mandelbrot-Van Ness constant 4 Gamma(nu+1) Gamma(nup+1)
+    sin(pi nu/2) sin(pi nup/2) / (Gamma(nu+nup+2) sin(pi (nu+nup+1)/2)).
+    Values are cached per mu on the spec."""
     mus = np.asarray(mu, dtype=float)
     cache = spec._pair_cache
     todo = sorted({m for m in mus.ravel().tolist() if (i, j, m) not in cache})
@@ -315,48 +324,18 @@ def _pair_integral_ma(spec, i, j, mu):
         vals = np.empty_like(t)
         zero = t == 0.0
         if zero.any():
-            vals[zero] = _pair_integral_untempered(nu, nup, d)
+            if d != 1:
+                raise CovarianceError("the mu = 0 pair integral is d = 1 only")
+            sin = np.sin(0.5 * math.pi * np.array([nu, nup, nu + nup + 1]))
+            vals[zero] = 4.0 * gamma_fn(nu + 1.0) * gamma_fn(nup + 1.0) \
+                * sin[0] * sin[1] / (gamma_fn(nu + nup + 2.0) * sin[2])
         if not zero.all():
-            tp = t[~zero]
-            g_term = _surface_area(d) * gamma_fn(nu + nup + d) / \
-                (2.0 * tp) ** (nu + nup + d)
-            vals[~zero] = 2.0 * (g_term - _cross_integral(nu, nup, tp, d))
+            vals[~zero] = 2.0 * (_gauss_term(nu, nup, t[~zero], d)
+                                 - _cross_integral(nu, nup, t[~zero], d))
         for m, v in zip(todo, vals.tolist()):
             cache[(i, j, m)] = cache[(j, i, m)] = v
     out = np.array([cache[(i, j, m)] for m in mus.ravel().tolist()])
     return out.reshape(mus.shape) if mus.ndim else float(out[0])
-
-
-def _pair_integral_untempered(nu, nup, d):
-    """Formal lambda = 0 limit of the pair integral (d = 1 only)."""
-    if d != 1:
-        raise CovarianceError("untempered pair integral implemented for d=1")
-    if abs(nu) < 1e-14 or abs(nup) < 1e-14:
-        return 0.0       # the power difference cancels identically
-
-    def f(y):
-        g1 = np.abs(1.0 - y) ** nu - np.abs(y) ** nu
-        g2 = np.abs(1.0 - y) ** nup - np.abs(y) ** nup
-        return g1 * g2
-
-    core, _ = adaptive_gk(f, -8.0, 9.0, rtol=1e-9, atol=1e-300,
-                          points=(0.0, 1.0), max_intervals=32768)
-    # substitute y = anchor / s: the tails map to (0, 1] with integrand
-    # ~ s^{-(nu+nup)}, integrable since h + h' > 0
-    tail_hi, _ = adaptive_gk(lambda s: _untempered_tail(nu, nup, s, 9.0),
-                             0.0, 1.0, rtol=1e-9, atol=1e-300,
-                             max_intervals=32768)
-    tail_lo, _ = adaptive_gk(lambda s: _untempered_tail(nu, nup, s, -8.0),
-                             0.0, 1.0, rtol=1e-9, atol=1e-300,
-                             max_intervals=32768)
-    return core + tail_hi + tail_lo
-
-
-def _untempered_tail(nu, nup, s, anchor):
-    y = anchor / s
-    g1 = np.abs(1.0 - y) ** nu - np.abs(y) ** nu
-    g2 = np.abs(1.0 - y) ** nup - np.abs(y) ** nup
-    return g1 * g2 * abs(anchor) / s ** 2
 
 
 def itofbf_cx2(spec, r):

@@ -334,15 +334,28 @@ def gamma_stem():
     return StemFunction("gamma", deriv, domain_ok=ok, max_order=1)
 
 
+def _finite_cosh_sum(val, name, u):
+    """``val``, or SpecfunError naming u where the cosh-rule sum overflows."""
+    if not np.all(np.isfinite(val)):
+        raise SpecfunError(f"{name}: the cosh-rule sum overflows at u = {u!r}")
+    return val
+
+
 def bessel_k_stem(u):
     """Stem nu -> K_nu(u), 0 past ``_KV_UNDERFLOW_U``: the k-th derivative
     int_0^inf e^{-u cosh t} t^k {cosh, sinh}(nu t) dt summed on the nodes of
-    ``_fast._cosh_rule``, which also give K_nu and ``matrix_bessel_k``."""
+    ``_fast._cosh_rule``, which also give K_nu and ``matrix_bessel_k``;
+    SpecfunError where the sum overflows."""
     if u <= 0:
         raise MatfunError("bessel_k_stem requires u > 0")
     t, w = (x[0] for x in _fast._cosh_rule(np.array([float(u)])))
-    return StemFunction(f"bessel_k[{u}]", lambda k, z: complex(
-        np.dot(w, _cosh_derivative(k, complex(z), t))))
+
+    def deriv(k, z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = np.dot(w, _cosh_derivative(k, complex(z), t))
+        return complex(_finite_cosh_sum(val, "bessel_k_stem", u))
+
+    return StemFunction(f"bessel_k[{u}]", deriv)
 
 
 def primary_matrix_fn(stem, m):
@@ -384,12 +397,15 @@ def matrix_bessel_k(n_mat, u):
     ``_fast._cosh_rule`` nodes, which also give the scalar K_nu and its
     order derivatives (``bessel_k_stem``).  One stacked ``expm`` gives the
     exponentials of all nodes without an eigendecomposition, so a
-    defective order needs no Jordan data.
+    defective order needs no Jordan data.  SpecfunError where the sum
+    overflows.
     """
     if u <= 0:
         raise MatfunError("matrix_bessel_k requires u > 0")
     a = _as_matrix(n_mat)
     t, w = _fast._cosh_rule(np.array([float(u)]))
     nt = t[0, :, None, None] * a
-    e = expm(np.concatenate([nt, -nt]))
-    return np.tensordot(w[0], 0.5 * (e[:len(nt)] + e[len(nt):]), axes=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = expm(np.concatenate([nt, -nt]))
+        val = np.tensordot(w[0], 0.5 * (e[:len(nt)] + e[len(nt):]), axes=1)
+    return _finite_cosh_sum(val, "matrix_bessel_k", u)

@@ -637,8 +637,13 @@ def tfsm_synthesis(hurst, alpha, lam, times, integration_grid, seed,
     Returns an (n_draws, n_times) array; ``times`` are the observation
     points, ``integration_grid`` a 1-d GridSpec covering the kernel
     support (y <= max(times), down to the tempering radius).  Cells get
-    SaS(alpha) noise of scale dy^{1/alpha}, draw j from stream j.
+    SaS(alpha) noise of scale dy^{1/alpha}, draw j from stream j; another
+    grid dimension raises SimulationConfigError.
     """
+    if integration_grid.d != 1:
+        raise SimulationConfigError(
+            f"tfsm_synthesis: the integration grid must be 1-d, got "
+            f"d = {integration_grid.d}")
     times = np.atleast_1d(times)
     nodes = integration_grid.midpoints()[:, 0]
     noise = _measure_noise(MeasureSpec("sas", alphas=[alpha]),

@@ -69,8 +69,13 @@ def test_check_non_diagonal_e_with_diag_power_phi(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_cov_quadrature_failure_exits_tolerance(tmp_path, capsys):
-    # d = 2 kernel quadrature at h < 1/2 exhausts the inner interval cap
+def test_cov_quadrature_failure_exits_tolerance(tmp_path, capsys,
+                                                monkeypatch):
+    # a NaN pair-integral profile makes the kernel quadrature fail
+    from trfield import covariance
+
+    monkeypatch.setattr(covariance, "_focal_profile_d2",
+                        lambda a, b, u: np.full_like(u, np.nan))
     doc = {"spec": {"variant": "ITOFBF", "d": 2, "n": 1, "lambda": 1.0,
                     "H": [[0.3]]},
            "pairs": [[[0.1, 0.0], [0.1, 0.0]]]}
@@ -129,6 +134,19 @@ def test_cov_artifacts(tmp_path):
     spec = IsotropicGaussianSpec.from_json(doc["spec"])
     expect = ibtofbf_cov(spec, [1.0], [0.4])[0, 0]
     assert float(csv[1].split(",")[-1]) == expect
+
+
+def test_simulate_itofbf_d2_small_hurst_exits_ok(tmp_path):
+    # the kernel-side pair integral covers every H in (0, 1) at d = 2
+    doc = {"method": "gaussian_exact", "seed": 1,
+           "spec": {"variant": "ITOFBF", "d": 2, "n": 1, "lambda": 0.52,
+                    "H": [[0.3]]},
+           "grid": {"ranges": [[0.0, 0.5], [0.0, 0.5]], "counts": [2, 2]}}
+    code, out = run(tmp_path, "simulate", doc)
+    assert code == EXIT_OK
+    real = Realization.load(os.path.join(out, "draw_0000.trf"))
+    assert real.values.shape == (4, 1)
+    assert np.all(np.isfinite(real.values))
 
 
 def test_simulate_requires_seed(tmp_path):

@@ -86,21 +86,23 @@ def test_pair_integral_against_brute_oracle(h, hp, mu):
     assert mine == pytest.approx(brute_pair_integral(h, hp, mu), rel=1e-8)
 
 
-def test_pair_integral_untempered_limit():
-    spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0, [[0.7]])
-    mine = cov._pair_integral_ma(spec, 0, 0, 0.0)
-    # brute core plus the analytic algebraic tail of the power difference
-    nu = 0.2
-    span = 200.0
-
-    def f(y):
-        g = np.abs(1.0 - y) ** nu - np.abs(y) ** nu
-        return g * g
-
-    core, _ = adaptive_gk(f, -span, 1.0 + span, rtol=1e-9, atol=1e-300,
-                          points=(0.0, 1.0), max_intervals=40000)
-    tail = 2.0 * nu * nu * span ** (2 * nu - 1.0) / (1.0 - 2 * nu)
-    assert mine == pytest.approx(core + tail, rel=1e-4)
+@pytest.mark.parametrize("h,hp", [
+    (0.7, 0.7), (0.45, 0.45), (0.72, 0.58), (0.3, 0.8), (0.1, 0.9),
+])
+def test_pair_integral_untempered_limit(h, hp):
+    # mu = 0 (d = 1) against mpmath quadrature of
+    # int (|1-y|^nu - |y|^nu) (|1-y|^nup - |y|^nup) dy
+    mpmath = pytest.importorskip("mpmath")
+    hm = [[h]] if h == hp else [[h, 0.3], [0.0, hp]]
+    spec = IsotropicGaussianSpec("ITOFBF", 1, len(hm), 1.0, hm)
+    mine = cov._pair_integral_ma(spec, 0, len(hm) - 1, 0.0)
+    with mpmath.workdps(30):
+        nu, nup = mpmath.mpf(h) - 0.5, mpmath.mpf(hp) - 0.5
+        ref = mpmath.quad(
+            lambda y: (abs(1 - y) ** nu - abs(y) ** nu)
+            * (abs(1 - y) ** nup - abs(y) ** nup),
+            [-mpmath.inf, -1, 0, 0.5, 1, 2, mpmath.inf])
+    assert mine == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_pair_integral_degenerate_at_half():
@@ -550,6 +552,28 @@ def test_node_batched_cross_integral_matches_per_node_loop(d, h):
     for mu, val in zip(mus, batched):
         assert val == pytest.approx(per_node_cross_integral(nu, nu, mu, d),
                                     rel=1e-9)
+
+
+SITES_2D = np.array([[-1.0, -1.0], [-0.5, 0.25], [0.0, 0.0], [0.25, 0.75],
+                     [0.75, -0.5], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("d,h", [
+    (2, [[0.1]]), (2, [[0.3]]), (2, [[0.5]]), (2, [[0.7]]),
+    (2, [[0.72, 0.1], [0.0, 0.58]]), (3, [[0.72, 0.1], [0.0, 0.58]]),
+    (3, [[0.3]]), (3, [[0.5]]),
+])
+def test_kernel_quadrature_gram_matches_spectral_integral(d, h):
+    # every H in (0, 1) at d = 2 and 3; at d = 3 and h < 1/2 the s1 power
+    # nu + 1 is negative, and h = 1/2 gives an integer a - b in the 2F1
+    pts = SITES_2D if d == 2 else np.column_stack(
+        [SITES_2D, 0.5 * SITES_2D[::-1, 0]])
+    n = len(h)
+    kernel = CovarianceModel(IsotropicGaussianSpec("ITOFBF", d, n, 0.52, h),
+                             method="kernel_quadrature").gram(pts)
+    spectral = CovarianceModel(IsotropicGaussianSpec("ITOFBF", d, n, 0.52, h),
+                               method="spectral_integral").gram(pts)
+    assert np.max(np.abs(kernel - spectral)) <= 1e-8 * np.max(np.abs(spectral))
 
 
 def test_ibtofbf_gram_batches_bessel_calls(monkeypatch):

@@ -229,6 +229,16 @@ def test_matrix_and_stem_bessel_refuse_arguments_below_the_rule_floor(u):
         bessel_k_stem(u)
 
 
+def test_matrix_and_stem_bessel_refuse_an_overflowing_sum():
+    # kv_batch(1.4, 1e-300) is +inf; the cosh-rule sums overflow too
+    with pytest.raises(SpecfunError, match="overflows at u = 1e-300"):
+        matrix_bessel_k(np.array([[1.4]]), 1e-300)
+    stem = bessel_k_stem(1e-300)
+    for k in (0, 1):
+        with pytest.raises(SpecfunError, match="overflows at u = 1e-300"):
+            stem.derivative(k, 1.4)
+
+
 def test_matrix_bessel_eigenbasis_oracle(rng):
     n2 = np.array([[0.3, 0.1], [0.05, 0.6]])
     ev, p = np.linalg.eig(n2)

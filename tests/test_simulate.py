@@ -11,7 +11,8 @@ from trfield.covariance import (CovarianceModel, IsotropicGaussianSpec,
 from trfield.kernels import FieldSpec, MeasureSpec
 from trfield import _fast, simulate, specfun
 from trfield.quadrature import adaptive_gk
-from trfield.simulate import (GridSpec, Realization, SimulationError,
+from trfield.simulate import (GridSpec, Realization,
+                              SimulationConfigError, SimulationError,
                               SimulationToleranceError,
                               gaussian_exact, gaussian_exact_many,
                               ma_synthesis, philox_stream, sas_sample,
@@ -414,6 +415,12 @@ def test_tfsm_chf_against_kernel_alpha_norm():
         emp = float(np.mean(np.cos(u * vals)))
         se = float(np.std(np.cos(u * vals))) / math.sqrt(n_draws)
         assert abs(emp - target) < 3.0 * se + 0.01
+
+
+def test_tfsm_refuses_integration_grid_of_another_dimension():
+    igrid = GridSpec([[-120.0, 1.0], [0.0, 1.0]], [512, 2])
+    with pytest.raises(SimulationConfigError, match="1-d, got d = 2"):
+        tfsm_synthesis(0.7, 1.5, 0.3, [0.25, 0.5, 1.0], igrid, 1, n_draws=2)
 
 
 def test_tfsm_deterministic():
