@@ -236,17 +236,18 @@ def _cross_integral(nu, nup, mu, d):
     return x
 
 
-def _swap_sum(x, y, a, b):
-    """x^a y^b + x^b y^a."""
-    g = x ** a * y ** b
-    return 2.0 * g if a == b else g + x ** b * y ** a
+def _swap_sum(fn, a, b):
+    """fn(a, b) + fn(b, a), with one call when a = b."""
+    g = fn(a, b)
+    return 2.0 * g if a == b else g + fn(b, a)
 
 
 def _focal_profile_d1(a, b, u):
     """(sinh u / 2) (s1^a s2^b + s1^b s2^a), d = 1: on the half-lines
     y = (1 -+ cosh u)/2, {|y|, |y-e1|} = {cosh^2(u/2), sinh^2(u/2)}."""
     sh, ch = np.sinh(0.5 * u), np.cosh(0.5 * u)
-    return sh * ch * _swap_sum(ch * ch, sh * sh, a, b)
+    g = _swap_sum(lambda p, q: (ch * ch) ** p * (sh * sh) ** q, a, b)
+    return sh * ch * g
 
 
 def _focal_profile_d2(a, b, u):
@@ -264,8 +265,8 @@ def _focal_profile_d2(a, b, u):
     def f(t):
         tl = t[:, None] * big_l
         sv2 = np.sin(0.5 * u * np.sinh(tl)) ** 2
-        return _swap_sum(ch2 - sv2, sh2 + sv2, a, b) * np.cosh(tl) \
-            * (u * big_l / norm)
+        g = _swap_sum(lambda p, q: (ch2 - sv2) ** p * (sh2 + sv2) ** q, a, b)
+        return g * np.cosh(tl) * (u * big_l / norm)
 
     val, _ = adaptive_gk(f, 0.0, 1.0, rtol=1e-13, atol=1e-300)
     return 2.0 * norm * val
@@ -289,8 +290,7 @@ def _focal_profile_d3(a, b, u):
     out = np.empty_like(u)
     near = sigma < 2.0
     s, w = sigma[near], sh2[near] / sigma[near]
-    tails = _lower_beta(a + 1.0, b + 1.0, w)
-    tails = 2.0 * tails if a == b else tails + _lower_beta(b + 1.0, a + 1.0, w)
+    tails = _swap_sum(lambda p, q: _lower_beta(p + 1.0, q + 1.0, w), a, b)
     out[near] = 2.0 * s ** (a + b + 1.0) * (beta_fn(a + 1.0, b + 1.0) - tails)
     s = sigma[~near, None]
     x, wt = gauss_legendre(20)
