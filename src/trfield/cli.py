@@ -205,8 +205,11 @@ def _cmd_cov(config, run, args):
     method = config.get("method")
     model = _load_cov_model(spec_doc, method)
     lines = ["x,x2,i,j,value"]
-    for x, x2 in _pairs(config, "cov"):
-        cov = model.evaluate(x, x2)
+    pairs = _pairs(config, "cov")
+    if len({p.shape for p in pairs}) > 1:
+        raise SchemaError("cov: every point of pairs must have one length")
+    covs = model.evaluate(*np.stack(pairs, axis=1)) if pairs else []
+    for (x, x2), cov in zip(pairs, covs):
         for i in range(cov.shape[0]):
             for j in range(cov.shape[1]):
                 lines.append('"%s","%s",%d,%d,%s' % (

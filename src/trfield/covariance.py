@@ -120,19 +120,26 @@ class IsotropicGaussianSpec:
 # A model supplies ``v_pos``: V at every positive radius of an array,
 # returned as an (R, n, n) stack, evaluated in one batch.
 
+def _row_norms(points):
+    """|x_a| of an (N, d) array, the squares summed over the axes in order."""
+    first, *rest = points.T
+    norm2 = first * first
+    for col in rest:
+        norm2 += col * col
+    return np.sqrt(norm2)
+
+
 def _site_norms(points):
     """(|x_a|, |x_a - x_b|) of an (N, d) site array; the sums of squares run
     over the axes in one order, so |0 - x| and |x| agree to the last bit."""
     first, *rest = points.T
-    norm2 = first * first
     dist2 = first[:, None] - first[None, :]
     dist2 *= dist2
     for col in rest:
-        norm2 += col * col
         diff = col[:, None] - col[None, :]
         diff *= diff
         dist2 += diff
-    return np.sqrt(norm2), np.sqrt(dist2, out=dist2)
+    return _row_norms(points), np.sqrt(dist2, out=dist2)
 
 
 def _pinned_variance(v_pos, radii, n):
@@ -179,17 +186,20 @@ def _pinned_gram(v_pos, n, points, check_psd):
 
 
 def _pinned_cov(v_pos, n, x, x2):
-    """C(x, x') from one batched V call on |x|, |x'| and |x - x'|."""
-    pts = np.stack([np.atleast_1d(np.asarray(x, dtype=float)),
-                    np.atleast_1d(np.asarray(x2, dtype=float))])
-    norms, dist = _site_norms(pts)
-    v = _pinned_variance(v_pos, [norms[0], norms[1], dist[0, 1]], n)
-    return 0.5 * (v[0] + v[1] - v[2])
+    """C(x, x') from one batched V call on |x|, |x'| and |x - x'|: (n, n)
+    for two points, (P, n, n) for two stacked (P, d) arrays of them."""
+    x = np.asarray(x, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    pts = np.stack([np.atleast_2d(x), np.atleast_2d(x2)])
+    radii = np.concatenate([_row_norms(p) for p in (*pts, pts[0] - pts[1])])
+    v = _pinned_variance(v_pos, radii, n).reshape((3, -1, n, n))
+    cov = 0.5 * (v[0] + v[1] - v[2])
+    return cov if x.ndim == 2 else cov[0]
 
 
 def _pinned_point_variance(v_pos, n, x):
     """Var X(x) = V(|x|)."""
-    norms, _ = _site_norms(np.atleast_2d(np.asarray(x, dtype=float)))
+    norms = _row_norms(np.atleast_2d(np.asarray(x, dtype=float)))
     return _pinned_variance(v_pos, norms, n)[0]
 
 
@@ -722,29 +732,31 @@ class TFBMCovariance:
     def to_json(self):
         return {"variant": "TFBM_LINE", "h": self.h, "lambda": self.lambda_}
 
-    def _v(self, radii):
+    def radial_variance(self, radii):
+        """V at every radius > 0 of an array, (R, 1, 1)."""
         return tfbm_variogram_batch(self.h, self.lambda_, radii)[:, None, None]
 
     def evaluate(self, x, x2):
-        return _pinned_cov(self._v, 1, x, x2)
+        return _pinned_cov(self.radial_variance, 1, x, x2)
 
     __call__ = evaluate
 
     def variance(self, x):
-        return _pinned_point_variance(self._v, 1, x)
+        return _pinned_point_variance(self.radial_variance, 1, x)
 
     def variogram(self, t):
         return tfbm_variogram(self.h, self.lambda_, t)
 
     def gram(self, points, check_psd=True):
         """Gram matrix over sites on the line; see CovarianceModel.gram."""
-        return _pinned_gram(self._v, 1, points, check_psd)
+        return _pinned_gram(self.radial_variance, 1, points, check_psd)
 
 
 # ---------------------------------------------------------------------------
 
 class CovarianceModel:
-    """Evaluator mapping (x, x') to an n x n covariance matrix.
+    """Evaluator mapping (x, x') to an n x n covariance matrix, or two
+    stacked (P, d) arrays of points to a (P, n, n) stack, from one V batch.
 
     methods: ``closed_form`` (Bessel variant), ``kernel_quadrature``
     (exponentially tempered variant), ``spectral_integral`` (either).
@@ -769,7 +781,10 @@ class CovarianceModel:
     def __call__(self, x, x2):
         return self.evaluate(x, x2)
 
-    def _v(self, radii):
+    def radial_variance(self, radii):
+        """V(rho) = Var X(x) at |x| = rho for every rho > 0 of an array, as
+        an (R, n, n) stack from one batch: the function behind ``gram``,
+        ``evaluate`` and the circulant route of exact line draws."""
         if self.method == "closed_form":
             return _ibtofbf_v(self.spec, radii)
         if self.method == "kernel_quadrature":
@@ -777,10 +792,10 @@ class CovarianceModel:
         return _spectral_v(self.spec, radii, self.rtol)
 
     def evaluate(self, x, x2):
-        return _pinned_cov(self._v, self.spec.n, x, x2)
+        return _pinned_cov(self.radial_variance, self.spec.n, x, x2)
 
     def variance(self, x):
-        return _pinned_point_variance(self._v, self.spec.n, x)
+        return _pinned_point_variance(self.radial_variance, self.spec.n, x)
 
     def gram(self, points, check_psd=True):
         """Gram matrix over sites, (N n) x (N n) with n x n blocks.
@@ -793,4 +808,5 @@ class CovarianceModel:
         exactly 0.  With ``check_psd`` a negative eigenvalue below
         -1e-8 tr(G) raises CovarianceError.
         """
-        return _pinned_gram(self._v, self.spec.n, points, check_psd)
+        return _pinned_gram(self.radial_variance, self.spec.n, points,
+                            check_psd)

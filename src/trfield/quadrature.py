@@ -41,7 +41,9 @@ def _gk15_nodes(lo, hi):
 
 
 def _gk15_batch(f, lo, hi):
-    """Vectorized Gauss-Kronrod panels over arrays of interval edges."""
+    """Vectorized Gauss-Kronrod panels over arrays of interval edges: the
+    (J, ...) Kronrod values and the (J, C) error estimates |Kronrod - Gauss|
+    of each panel's C integrand components."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
@@ -51,9 +53,7 @@ def _gk15_batch(f, lo, hi):
     hshape = (len(half),) + (1,) * (fx.ndim - 2)
     ik = np.tensordot(fx, _KW, axes=(1, 0)) * half.reshape(hshape)
     ig = np.tensordot(fx, _GW, axes=(1, 0)) * half.reshape(hshape)
-    diff = np.abs(ik - ig)
-    err = diff.reshape(diff.shape[0], -1).max(axis=1)
-    return ik, err
+    return ik, np.abs(ik - ig).reshape(len(half), -1)
 
 
 def adaptive_gk(f, a, b, rtol=1e-10, atol=1e-13, max_intervals=4096,
@@ -64,7 +64,9 @@ def adaptive_gk(f, a, b, rtol=1e-10, atol=1e-13, max_intervals=4096,
     integrated componentwise).  ``points`` lists interior breakpoints
     (e.g. integrable singularities) where the initial partition is split.
     The whole error frontier is refined per iteration with one batched
-    evaluation.
+    evaluation.  Convergence is tested per component: the largest of the
+    components' error sums over the intervals must meet the tolerance on
+    the largest |value|.  Splits follow each interval's worst component.
 
     Returns (value, error_estimate); raises QuadratureError when the
     requested tolerance cannot be certified or the estimate is not finite.
@@ -72,11 +74,12 @@ def adaptive_gk(f, a, b, rtol=1e-10, atol=1e-13, max_intervals=4096,
     edges = np.array([a] + sorted(p for p in points if a < p < b) + [b])
     lo = edges[:-1].copy()
     hi = edges[1:].copy()
-    vals, errs = _gk15_batch(f, lo, hi)
+    vals, comp_errs = _gk15_batch(f, lo, hi)
+    errs = comp_errs.max(axis=1)
     frozen_err = 0.0
     while True:
         total = vals.sum(axis=0)
-        total_err = float(errs.sum()) + frozen_err
+        total_err = float((comp_errs.sum(axis=0) + frozen_err).max())
         peak = float(np.max(np.abs(total)))
         if not (math.isfinite(total_err) and math.isfinite(peak)):
             raise QuadratureError(
@@ -91,7 +94,7 @@ def adaptive_gk(f, a, b, rtol=1e-10, atol=1e-13, max_intervals=4096,
                 f"adaptive_gk: {len(lo)} intervals, error {total_err:.3e} "
                 f"above tolerance {scale:.3e}")
         # refine every interval contributing at least its fair share
-        thresh = max(scale, total_err * 0.5) / max(len(lo), 1)
+        thresh = max(scale, float(errs.sum()) * 0.5) / max(len(lo), 1)
         split = errs > min(thresh, float(errs.max()) * 0.999999)
         if not np.any(split):
             split = errs >= float(errs.max())
@@ -100,8 +103,8 @@ def adaptive_gk(f, a, b, rtol=1e-10, atol=1e-13, max_intervals=4096,
         if np.any(degenerate):
             # intervals at floating-point resolution: error irreducible
             keep_idx = np.flatnonzero(split)[degenerate]
-            frozen_err += float(errs[keep_idx].sum())
-            errs[keep_idx] = 0.0
+            frozen_err = frozen_err + comp_errs[keep_idx].sum(axis=0)
+            errs[keep_idx] = comp_errs[keep_idx] = 0.0
             split[keep_idx] = False
             if not np.any(split):
                 continue
@@ -113,7 +116,8 @@ def adaptive_gk(f, a, b, rtol=1e-10, atol=1e-13, max_intervals=4096,
         lo = np.concatenate([lo[keep], child_lo])
         hi = np.concatenate([hi[keep], child_hi])
         vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+        comp_errs = np.concatenate([comp_errs[keep], new_errs])
+        errs = comp_errs.max(axis=1)
 
 
 class QuadratureError(RuntimeError):

@@ -4,10 +4,13 @@ and moving-average Riemann sums driven by Gaussian or SaS noise.
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id), so draws are reproducible and order-independent:
 stream j feeds the noise of draw j, whatever the number of draws.
-Exact, moving-average and stable synthesis multiply one dense real matrix
-(Cholesky factor or kernel matrix), built in blocks of rows, by per-draw
-noise columns; one engine, ``_draw_products``, runs them all, one GEMM
-per block of rows and block of draws.  Spectral
+Exact draws on a line through the origin sum the field's stationary
+increments, drawn by circulant embedding with one batched FFT per block
+of draws.  Other exact draws, moving-average and stable synthesis
+multiply one dense real matrix (Cholesky factor or kernel matrix), built
+in blocks of rows, by per-draw noise columns; one engine,
+``_draw_products``, runs them all, one GEMM per block of rows and block
+of draws.  Spectral
 synthesis builds no matrix: both grids are arithmetic progressions, so
 its frequency sum is a chirp-z transform on the line and a chain of small
 per-axis phase matrices on product grids.
@@ -36,7 +39,9 @@ __all__ = [
     "tempering_radius", "symmetric_freq_grid", "spectral_tail_cutoff",
 ]
 
-EXACT_SITE_CAP = 16384
+EXACT_SITE_CAP = 16384              # sites x n of the Gram route
+_EMBED_GROWTH = 3                   # circulant embedding: M up to 8x
+_EMBED_CLIP = 1e-8                  # clip eigenvalues >= -1e-8 max
 _MAGIC = b"TRF1"
 _NOISE_BLOCK_BYTES = 32 << 20       # noise (spectral: work) per block
 _KERNEL_BLOCK_BYTES = 24 << 20      # kernel or factor rows per block
@@ -263,13 +268,134 @@ def _factor_gram(gram, n_sites_total):
         "gram factorization failed at maximal jitter")
 
 
+def _increment_embedding(v_pos, h, n_sites):
+    """Circulant embedding of the increments of a pinned scalar field on a
+    line of ``n_sites`` sites at spacing h (Davies & Harte 1987; Wood &
+    Chan 1994).
+
+    The increments D_k = X((k+1)h) - X(kh) are stationary, with
+    gamma(k) = (V((k+1)h) + V(|k-1|h)) / 2 - V(kh).  gamma(0..M) and its
+    mirror gamma(M-1..1) are the first row of a circulant of length 2M,
+    M = _fft_size(n_sites - 1), whose eigenvalues are one real FFT.  An
+    embedding whose eigenvalues all lie at or above -``_EMBED_CLIP`` of the
+    largest is taken, any negative ones clipped to 0 (rounding leaves
+    some: for a tempered field the eigenvalue at frequency 0 telescopes to
+    about 0, and a 2^20 + 1-site TFBM line reads -3.5e-10 of the largest
+    there: clipping moves the covariance no more than that rounding does);
+    otherwise M doubles, up to ``_EMBED_GROWTH`` times, with V in one
+    batch per size on the new lags only.  Returns (sqrt(eigenvalues), or
+    None if the last embedding is more negative than that, and its record:
+    length, minimum eigenvalue over the largest, clipped share of the
+    eigenvalue sum).
+    """
+    m = _fft_size(n_sites - 1)
+    v = np.zeros(1)
+    for grow in range(_EMBED_GROWTH + 1):
+        size = m << grow
+        lags = np.arange(v.size, size + 2) * h
+        v = np.concatenate([v, v_pos(lags)[:, 0, 0]])
+        gamma = 0.5 * (v[2:] + v[:-2]) - v[1:-1]        # gamma(1..size)
+        gamma = np.concatenate([[v[1]], gamma])
+        eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        low, top = float(eig.min()), float(eig.max())
+        if low >= -_EMBED_CLIP * top:
+            break
+    # each interior eigenvalue stands for two of the circulant's 2M
+    weight = np.full(eig.size, 2.0)
+    weight[[0, -1]] = 1.0
+    record = {"embedding_length": 2 * size,
+              "min_eigenvalue_ratio": low / top,
+              "clipped_share": float(weight @ np.maximum(-eig, 0.0)
+                                     / (weight @ np.maximum(eig, 0.0)))}
+    if low < -_EMBED_CLIP * top:
+        return None, record
+    return np.sqrt(np.maximum(eig, 0.0)), record
+
+
+def _circulant_draws(sqrt_eig, n_sites, origin, seed, n_draws):
+    """(n_draws, n_sites) line draws from a circulant embedding's
+    sqrt(eigenvalues) (``_increment_embedding``), exactly 0 at the site
+    ``origin``.
+
+    Draw j reads 2M normals from stream j alone: the real parts of the
+    M + 1 spectral coefficients, then the imaginary parts of the M - 1
+    inner ones, each scaled so that one inverse real FFT of length 2M has
+    the circulant's covariance; the first n_sites - 1 values are the
+    increments, summed outward from the origin.  A block of draws holds
+    about ``_NOISE_BLOCK_BYTES`` of work, 32 M bytes per draw.
+    """
+    m = sqrt_eig.size - 1
+    amp = sqrt_eig * math.sqrt(m)
+    amp[[0, -1]] *= math.sqrt(2.0)
+    block = max(1, min(n_draws, _NOISE_BLOCK_BYTES // (32 * m)))
+    coef = np.zeros((block, m + 1), complex)
+    out = np.empty((n_draws, n_sites))
+    for start in range(0, n_draws, block):
+        take = min(block, n_draws - start)
+        for i in range(take):
+            z = philox_stream(seed, start + i).standard_normal(2 * m)
+            coef[i].real = z[:m + 1]
+            coef[i, 1:m].imag = z[m + 1:]
+        coef[:take] *= amp
+        inc = np.fft.irfft(coef[:take], 2 * m)[:, :n_sites - 1]
+        x = out[start:start + take]
+        x[:, origin] = 0.0
+        np.cumsum(inc[:, origin:], axis=1, out=x[:, origin + 1:])
+        if origin:
+            x[:, origin - 1::-1] = -np.cumsum(inc[:, origin - 1::-1], axis=1)
+    return out
+
+
+def _line_origin(grid):
+    """Index of the origin on a 1-d grid that has it as a site, else None."""
+    if grid.d != 1:
+        return None
+    at = np.flatnonzero(grid.axes()[0] == 0.0)
+    return int(at[0]) if at.size else None
+
+
 def gaussian_exact_many(cov_model, grid, seed, n_draws):
     """Exact Gaussian draws from the covariance model on a grid.
 
-    The diagonal jitter the Cholesky factorization needed is recorded in
-    each draw's provenance (``"jitter"``).
+    Two routes, chosen here.  A 1-d grid that has the origin as a site,
+    for a scalar model with a ``radial_variance`` V, takes the circulant
+    route: the stationary increments of X come from one circulant
+    embedding (``_increment_embedding``) and one batched FFT per block of
+    draws (``_circulant_draws``), in O(N log N) time and O(N) memory at
+    any size.  Everything else (d >= 2, n >= 2, an origin off the grid, a
+    model without V, an embedding more negative than its clip tolerance)
+    takes the Gram route: the Cholesky factor of the (N n)^2 Gram, within
+    ``EXACT_SITE_CAP``.  An indefinite embedding past the cap raises
+    SimulationToleranceError.
+
+    Provenance records ``algorithm`` ("circulant" or "cholesky"); the
+    embedding's length, minimum eigenvalue over the largest and clipped
+    share wherever an embedding was made; and the diagonal ``jitter`` of
+    the Cholesky route.
     """
     n = cov_model.spec.n
+    v_pos = getattr(cov_model, "radial_variance", None)
+    origin = _line_origin(grid)
+    meta = {"method": "gaussian_exact", "seed": int(seed),
+            "spec": cov_model.spec.to_json(), "grid": grid.to_json()}
+    if n == 1 and origin is not None and v_pos is not None:
+        sqrt_eig, record = _increment_embedding(
+            v_pos, grid.spacings[0], grid.n_sites)
+        meta.update(record)
+        if sqrt_eig is not None:
+            vals = _circulant_draws(sqrt_eig, grid.n_sites, origin, seed,
+                                    n_draws)
+            meta["algorithm"] = "circulant"
+            return [Realization(grid, vals[j], {**meta, "draw": j})
+                    for j in range(n_draws)]
+        if grid.n_sites > EXACT_SITE_CAP:
+            raise SimulationToleranceError(
+                f"circulant embedding: minimum eigenvalue "
+                f"{record['min_eigenvalue_ratio']:.3e} of the largest, "
+                f"below the clip tolerance -{_EMBED_CLIP:g} of it, at "
+                f"embedding length {record['embedding_length']}; "
+                f"{grid.n_sites} sites exceed the Gram route's cap "
+                f"{EXACT_SITE_CAP}")
     if grid.n_sites * n > EXACT_SITE_CAP:
         raise SimulationError(
             f"{grid.n_sites} sites exceeds exact-synthesis cap "
@@ -279,9 +405,7 @@ def gaussian_exact_many(cov_model, grid, seed, n_draws):
     rows = len(chol)
     vals = _draw_products(lambda r0, r1: chol[r0:r1], rows, rows,
                           lambda gen: gen.standard_normal(rows), seed, n_draws)
-    meta = {"method": "gaussian_exact", "seed": int(seed),
-            "spec": cov_model.spec.to_json(), "grid": grid.to_json(),
-            "jitter": jitter}
+    meta.update(algorithm="cholesky", jitter=jitter)
     return [Realization(grid, vals[:, j, 0].reshape(grid.n_sites, n),
                         {**meta, "draw": j}) for j in range(n_draws)]
 

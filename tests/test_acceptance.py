@@ -192,11 +192,12 @@ def test_A7_sample_path_targets():
             target=h, tolerance=0.05)
         ok &= bool(rep.passed)
         details.append(f"analytic H={h}: {rep.estimate:.3f}")
-    # Monte-Carlo variogram: 50 paths of 1024 points
+    # Monte-Carlo variogram: 400 paths of 1024 points (the estimate's
+    # standard deviation is at most 0.025, a quarter of the tolerance)
     grid_mc = GridSpec([(0.0, 1.0)], [1024])
     for h in (0.3, 0.5, 0.8):
         reals = gaussian_exact_many(TFBMCovariance(h, lam), grid_mc,
-                                    700 + int(10 * h), 50)
+                                    700 + int(10 * h), 400)
         rep = directional_holder(realizations=reals, direction=[1.0],
                                  target=h, tolerance=0.1)
         ok &= bool(rep.passed)

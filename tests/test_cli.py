@@ -94,12 +94,32 @@ def test_simulate_gram_tolerance_failure_exits_tolerance(tmp_path, capsys,
 
     monkeypatch.setattr(simulate, "_factor_gram", fail)
     doc = {"method": "gaussian_exact", "seed": 1,
-           "spec": {"variant": "TFBM_LINE", "h": 0.6, "lambda": 0.2},
-           "grid": {"ranges": [[0.0, 1.0]], "counts": [8]}}
+           "spec": {"variant": "IBTOFBF", "d": 2, "n": 1, "lambda": 0.5,
+                    "H": [[0.7]]},
+           "grid": {"ranges": [[0.0, 1.0], [0.0, 1.0]], "counts": [3, 3]}}
     code, _ = run(tmp_path, "simulate", doc)
     assert code == EXIT_TOLERANCE
     err = capsys.readouterr().err
     assert "maximal jitter" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_circulant_tolerance_failure_exits_tolerance(
+        tmp_path, capsys, monkeypatch):
+    # V(r) = r^3 makes every embedding indefinite; past the Gram route's
+    # cap the line cannot draw
+    from trfield.covariance import TFBMCovariance
+
+    monkeypatch.setattr(TFBMCovariance, "radial_variance",
+                        lambda self, r: (r ** 3)[:, None, None])
+    doc = {"method": "gaussian_exact", "seed": 1,
+           "spec": {"variant": "TFBM_LINE", "h": 0.6, "lambda": 0.2},
+           "grid": {"ranges": [[0.0, 1.0]], "counts": [20000]}}
+    code, _ = run(tmp_path, "simulate", doc)
+    assert code == EXIT_TOLERANCE
+    err = capsys.readouterr().err
+    assert "circulant embedding" in err
+    assert "tolerance -1e-08" in err
     assert "Traceback" not in err
 
 
@@ -147,6 +167,20 @@ def test_simulate_itofbf_d2_small_hurst_exits_ok(tmp_path):
     real = Realization.load(os.path.join(out, "draw_0000.trf"))
     assert real.values.shape == (4, 1)
     assert np.all(np.isfinite(real.values))
+
+
+def test_simulate_itofbf_fine_line_exits_ok(tmp_path):
+    # 1025 sites ask for V at lags down to mu = h lambda; the pair integral
+    # converges per mu
+    doc = {"method": "gaussian_exact", "seed": 1,
+           "spec": {"variant": "ITOFBF", "d": 1, "n": 1, "lambda": 0.5,
+                    "H": [[0.7]]},
+           "grid": {"ranges": [[-0.25, 0.75]], "counts": [1025]}}
+    code, out = run(tmp_path, "simulate", doc)
+    assert code == EXIT_OK
+    real = Realization.load(os.path.join(out, "draw_0000.trf"))
+    assert real.provenance["algorithm"] == "circulant"
+    assert real.values[256, 0] == 0.0
 
 
 def test_simulate_requires_seed(tmp_path):

@@ -104,6 +104,22 @@ def test_pair_integral_untempered_limit():
         assert mine == pytest.approx(float(ref), rel=1e-13), (h, hp)
 
 
+@pytest.mark.parametrize("count", [8, 512])
+def test_pair_integral_batch_of_small_mu(count):
+    # mu spaced geometrically on [1e-3, 0.5], as a fine line grid asks for
+    # them: each equals its value alone within I = 2 (G - X)'s error bound,
+    # X's rtol 1e-13 of G on both sides (G / I is 3.5e4 at mu = 1e-3)
+    mus = np.geomspace(1e-3, 0.5, count)
+    spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 0.5, [[0.7]])
+    batch = cov._pair_integral_ma(spec, 0, 0, mus)
+    for k in (0, count // 2, count - 1):
+        alone = cov._pair_integral_ma(
+            IsotropicGaussianSpec("ITOFBF", 1, 1, 0.5, [[0.7]]), 0, 0,
+            mus[k])
+        bound = 4e-13 * cov._gauss_term(0.2, 0.2, mus[k], 1)
+        assert abs(batch[k] - alone) <= bound, mus[k]
+
+
 def test_pair_integral_degenerate_at_half():
     spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0, [[0.5]])
     assert cov._pair_integral_ma(spec, 0, 0, 0.0) == 0.0
@@ -371,6 +387,23 @@ def test_tfbm_small_scale_slope_is_2h():
         v = np.array([tfbm_variogram(h, 0.1, t) for t in lags])
         slope = np.polyfit(np.log(lags), np.log(v), 1)[0]
         assert slope == pytest.approx(2 * h, abs=0.05)
+
+
+def test_evaluate_stacked_pairs_matches_each_pair():
+    # one V batch for all pairs gives every pair's bits
+    rng = np.random.default_rng(5)
+    for model, d in [
+            (TFBMCovariance(0.6, 0.2), 1),
+            (CovarianceModel(IsotropicGaussianSpec("IBTOFBF", 2, 2, 0.5,
+                                                   [[0.7, 0.1], [0.0, 0.6]])),
+             2)]:
+        x, x2 = rng.uniform(-1.0, 1.0, (2, 6, d))
+        x2[0] = 0.0
+        x2[1] = x[1]
+        stacked = model.evaluate(x, x2)
+        assert stacked.shape == (6, model.spec.n, model.spec.n)
+        for k in range(6):
+            assert np.array_equal(stacked[k], model.evaluate(x[k], x2[k]))
 
 
 def test_tfbm_covariance_model_protocol():

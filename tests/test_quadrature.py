@@ -42,6 +42,21 @@ def test_adaptive_gk_matrix_valued():
     assert np.max(np.abs(val - expect)) < 1e-12
 
 
+def test_adaptive_gk_converges_per_component():
+    # 64 narrow peaks, each in its own stretch of [0, 1]: every component
+    # meets the tolerance, though the sum over intervals of each interval's
+    # worst component does not
+    c = (np.arange(64) + 0.5) / 64
+    w = 0.01
+    val, err = adaptive_gk(lambda x: np.exp(-((x[:, None] - c) / w) ** 2),
+                           0.0, 1.0, rtol=1e-14, atol=1e-300)
+    expect = np.array([0.5 * w * math.sqrt(math.pi)
+                       * (math.erf((1.0 - ck) / w) + math.erf(ck / w))
+                       for ck in c])
+    assert err <= 1e-14 * np.max(expect)
+    assert np.max(np.abs(val - expect)) <= 1e-14 * np.max(expect)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_adaptive_gk_raises_on_non_finite_integrand(bad):
     # a NaN error estimate selects no interval to split: name the

@@ -191,9 +191,18 @@ def test_gaussian_exact_brownian_like_increments():
 
 
 def test_gaussian_exact_site_cap():
-    model = TFBMCovariance(0.5, 0.1)
-    with pytest.raises(SimulationError):
-        gaussian_exact(model, GridSpec([(0.0, 1.0)], [20000]), 1)
+    # the cap guards the Gram route (here a 2-d grid) only
+    model = CovarianceModel(IsotropicGaussianSpec("IBTOFBF", 2, 1, 0.5,
+                                                  [[0.7]]))
+    with pytest.raises(SimulationError, match="exact-synthesis cap"):
+        gaussian_exact(model, GridSpec([(0.0, 1.0)] * 2, [129, 129]), 1)
+    # a line through the origin takes the circulant route at any size
+    grid = GridSpec([(-256.0, 768.0)], [2 ** 20 + 1])
+    real = gaussian_exact(TFBMCovariance(0.7, 0.5), grid, 1)
+    assert real.provenance["algorithm"] == "circulant"
+    assert real.values.shape == (2 ** 20 + 1, 1)
+    assert real.values[2 ** 18, 0] == 0.0
+    assert np.all(np.isfinite(real.values))
 
 
 def test_gaussian_exact_deterministic():
@@ -220,11 +229,71 @@ def test_gaussian_exact_records_jitter():
         def gram(sites, check_psd=True):
             return np.ones((len(sites), len(sites)))
 
+    # the stub has no radial_variance: the Gram route
     reals = gaussian_exact_many(RankOne(), GridSpec([(0.0, 1.0)], [2]), 5, 2)
+    assert [r.provenance["algorithm"] for r in reals] == ["cholesky"] * 2
     assert [r.provenance["jitter"] for r in reals] == [1e-14, 1e-14]
     model = TFBMCovariance(0.6, 0.2)
     real = gaussian_exact(model, GridSpec([(0.0, 1.0)], [9]), 5)
-    assert real.provenance["jitter"] == 0.0
+    prov = real.provenance
+    assert prov["algorithm"] == "circulant"
+    assert "jitter" not in prov
+    assert prov["embedding_length"] == 16
+    assert 0.0 < prov["min_eigenvalue_ratio"] <= 1.0
+    assert prov["clipped_share"] == 0.0
+
+
+def _unit_noise_draws(monkeypatch, sqrt_eig, n_sites, origin):
+    """The circulant route's (2M, n_sites) draw map: draw j fed the j-th
+    unit vector as its noise."""
+    class Unit:
+        def __init__(self, j):
+            self.j = j
+
+        def standard_normal(self, size):
+            z = np.zeros(size)
+            z[self.j] = 1.0
+            return z
+
+    monkeypatch.setattr(simulate, "philox_stream", lambda seed, j: Unit(j))
+    size = 2 * (sqrt_eig.size - 1)
+    return simulate._circulant_draws(sqrt_eig, n_sites, origin, 0, size)
+
+
+@pytest.mark.parametrize("model", [
+    TFBMCovariance(0.7, 0.5),
+    CovarianceModel(IsotropicGaussianSpec("IBTOFBF", 1, 1, 0.5, [[0.71]])),
+    CovarianceModel(IsotropicGaussianSpec("ITOFBF", 1, 1, 0.5, [[0.3]])),
+], ids=["tfbm", "ibtofbf", "itofbf"])
+def test_circulant_route_covariance_matches_gram(model, monkeypatch):
+    # A^T A of the draw map A is the cumulative-sum map applied to the
+    # embedded Toeplitz(gamma): it must be the Gram, origin first,
+    # interior and last
+    for lo, hi, origin in ((0.0, 1.0, 0), (-0.5, 0.75, 16), (-1.0, 0.0, 40)):
+        grid = GridSpec([(lo, hi)], [41])
+        sqrt_eig, record = simulate._increment_embedding(
+            model.radial_variance, grid.spacings[0], grid.n_sites)
+        assert record["clipped_share"] == 0.0
+        a = _unit_noise_draws(monkeypatch, sqrt_eig, grid.n_sites, origin)
+        gram = model.gram(grid.sites(), check_psd=False)
+        err = np.max(np.abs(a.T @ a - gram)) / np.max(np.abs(gram))
+        assert err <= 1e-12, (lo, hi, err)
+        assert np.all(a[:, origin] == 0.0)
+
+
+def test_circulant_indefinite_embedding_past_the_cap_raises(monkeypatch):
+    # V(r) = r^3 has increments gamma(k) = 3 k h^3: no embedding is PSD
+    monkeypatch.setattr(TFBMCovariance, "radial_variance",
+                        lambda self, r: (r ** 3)[:, None, None])
+    grid = GridSpec([(0.0, 1.0)], [20000])
+    with pytest.raises(SimulationToleranceError,
+                       match="circulant embedding.*-1e-08.*length 320000"):
+        gaussian_exact(TFBMCovariance(0.6, 0.2), grid, 1)
+    # under the cap the Gram route takes over
+    real = gaussian_exact(TFBMCovariance(0.6, 0.2),
+                          GridSpec([(0.0, 1.0)], [2]), 1)
+    assert real.provenance["algorithm"] == "cholesky"
+    assert real.provenance["min_eigenvalue_ratio"] < -1e-8
 
 
 def test_factor_gram_failure_is_a_tolerance_error():
@@ -707,6 +776,19 @@ def test_exact_draw_does_not_depend_on_n_draws():
         np.testing.assert_allclose(ra.values, rb.values, rtol=1e-12, atol=0)
 
 
+def test_circulant_draw_does_not_depend_on_n_draws(monkeypatch):
+    # two draws per FFT block: five draws cross two block boundaries
+    model, grid = TFBMCovariance(0.7, 0.5), GridSpec([(-0.25, 0.75)], [33])
+    one = gaussian_exact_many(model, grid, 2, 1)
+    monkeypatch.setattr(simulate, "_NOISE_BLOCK_BYTES", 2 * 32 * 32)
+    five = gaussian_exact_many(model, grid, 2, 5)
+    assert {r.provenance["algorithm"] for r in one + five} == {"circulant"}
+    assert np.array_equal(one[0].values, five[0].values)
+    for j in (3, 4):
+        alone = gaussian_exact_many(model, grid, 2, j + 1)[j]
+        assert np.array_equal(alone.values, five[j].values)
+
+
 def test_synthesis_provenance_keys():
     spec, grid, (xi_max, count) = _spectral_cases()["fh_d2_n2"]
     half, dvol = symmetric_freq_grid(xi_max, count, grid.d)
@@ -723,6 +805,7 @@ def test_synthesis_provenance_keys():
     reals = gaussian_exact_many(model, grid, 1, 2)
     for j, real in enumerate(reals):
         assert sorted(real.provenance) == [
-            "draw", "grid", "jitter", "method", "seed", "spec"]
+            "algorithm", "draw", "grid", "jitter", "method", "seed", "spec"]
+        assert real.provenance["algorithm"] == "cholesky"
         assert real.provenance["jitter"] == 0.0
         assert real.provenance["draw"] == j
