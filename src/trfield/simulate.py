@@ -346,12 +346,11 @@ def _circulant_draws(sqrt_eig, n_sites, origin, seed, n_draws):
     return out
 
 
-def _line_origin(grid):
-    """Index of the origin on a 1-d grid that has it as a site, else None."""
-    if grid.d != 1:
-        return None
-    at = np.flatnonzero(grid.axes()[0] == 0.0)
-    return int(at[0]) if at.size else None
+def _origin_index(grid):
+    """Row of the origin in ``grid.sites()`` if it is a site, else None."""
+    zero = [np.flatnonzero(x == 0.0) for x in grid.axes()]
+    return None if any(z.size == 0 for z in zero) else int(
+        np.ravel_multi_index([z[0] for z in zero], grid.counts))
 
 
 def gaussian_exact_many(cov_model, grid, seed, n_draws):
@@ -375,10 +374,10 @@ def gaussian_exact_many(cov_model, grid, seed, n_draws):
     """
     n = cov_model.spec.n
     v_pos = getattr(cov_model, "radial_variance", None)
-    origin = _line_origin(grid)
+    origin = _origin_index(grid)
     meta = {"method": "gaussian_exact", "seed": int(seed),
             "spec": cov_model.spec.to_json(), "grid": grid.to_json()}
-    if n == 1 and origin is not None and v_pos is not None:
+    if grid.d == n == 1 and origin is not None and v_pos is not None:
         sqrt_eig, record = _increment_embedding(
             v_pos, grid.spacings[0], grid.n_sites)
         meta.update(record)
@@ -541,9 +540,7 @@ def spectral_synthesis(spec, grid, seed, n_draws=1, xi_max=None,
             for phase in phases:
                 c = np.tensordot(c, phase, axes=(2, 0))
             return c.reshape(c.shape[:2] + (-1,))
-    zero = [np.flatnonzero(x == 0.0) for x in site_axes]
-    origin = None if any(z.size == 0 for z in zero) else int(
-        np.ravel_multi_index([z[0] for z in zero], grid.counts))
+    origin = _origin_index(grid)
 
     vals = np.empty((grid.n_sites, n_draws, n))
     block = max(1, min(n_draws, _NOISE_BLOCK_BYTES

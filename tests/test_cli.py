@@ -534,6 +534,8 @@ XCHECK_DOC = {"check": "ibtofbf_closed_vs_spectral", "h": 0.7,
     ("xcheck", dict(XCHECK_DOC, pairs=[[[1.0]]])),
     ("cov", {"spec": IB_SPEC, "pairs": [[[1.0], [0.4, 0.2]]]}),
     ("xcheck", dict(XCHECK_DOC, pairs=[[[1.0, 0.0], [0.4]]])),
+    ("cov", {"spec": IB_SPEC,
+             "pairs": [[[1.0], [0.4]], [[1.0, 0.0], [0.4, 0.2]]]}),
     ("estimate", {"estimator": "directional_holder", "lags": "abc",
                   "spec": {"h": 0.6, "lambda": 0.2}}),
     ("estimate", {"estimator": "box_dimension", "realizations": "x.trf"}),
@@ -541,7 +543,8 @@ XCHECK_DOC = {"check": "ibtofbf_closed_vs_spectral", "h": 0.7,
         "cov_spec_without_lambda", "cov_spec_without_H", "xcheck_d_string",
         "xcheck_h_string", "xcheck_pairs_number", "cov_one_point_pair",
         "xcheck_one_point_pair", "cov_pair_lengths_differ",
-        "xcheck_pair_lengths_differ", "holder_lags_string",
+        "xcheck_pair_lengths_differ", "cov_pairs_of_two_lengths",
+        "holder_lags_string",
         "box_realizations_string"])
 def test_malformed_config_exits_schema(tmp_path, capsys, command, doc):
     code, _ = run(tmp_path, command, doc)
