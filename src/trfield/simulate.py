@@ -276,17 +276,17 @@ def _increment_embedding(v_pos, h, n_sites):
     The increments D_k = X((k+1)h) - X(kh) are stationary, with
     gamma(k) = (V((k+1)h) + V(|k-1|h)) / 2 - V(kh).  gamma(0..M) and its
     mirror gamma(M-1..1) are the first row of a circulant of length 2M,
-    M = _fft_size(n_sites - 1), whose eigenvalues are one real FFT.  An
-    embedding whose eigenvalues all lie at or above -``_EMBED_CLIP`` of the
-    largest is taken, any negative ones clipped to 0 (rounding leaves
-    some: for a tempered field the eigenvalue at frequency 0 telescopes to
-    about 0, and a 2^20 + 1-site TFBM line reads -3.5e-10 of the largest
-    there: clipping moves the covariance no more than that rounding does);
-    otherwise M doubles, up to ``_EMBED_GROWTH`` times, with V in one
-    batch per size on the new lags only.  Returns (sqrt(eigenvalues), or
-    None if the last embedding is more negative than that, and its record:
-    length, minimum eigenvalue over the largest, clipped share of the
-    eigenvalue sum).
+    M = _fft_size(n_sites - 1), whose eigenvalues are one real FFT.  The
+    one at frequency 0, the row's sum, telescopes to (V((M+1)h) -
+    V((M-1)h)) / 2, about 0 for a tempered field, and is set so: the FFT
+    leaves only rounding there (-3.5e-10 of the largest on a 2^20 + 1-site
+    TFBM line).  An embedding whose eigenvalues all lie at or above
+    -``_EMBED_CLIP`` of the largest is taken, any negative ones clipped to
+    0, since doubling cures truncation, not rounding.  Otherwise M doubles,
+    up to ``_EMBED_GROWTH`` times, with V in one batch per size on the new
+    lags only.  Returns (sqrt(eigenvalues), or None if the last embedding
+    is more negative than that, and its record: length, minimum eigenvalue
+    over the largest, clipped share of the eigenvalue sum).
     """
     m = _fft_size(n_sites - 1)
     v = np.zeros(1)
@@ -297,6 +297,7 @@ def _increment_embedding(v_pos, h, n_sites):
         gamma = 0.5 * (v[2:] + v[:-2]) - v[1:-1]        # gamma(1..size)
         gamma = np.concatenate([[v[1]], gamma])
         eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+        eig[0] = 0.5 * (v[size + 1] - v[size - 1])
         low, top = float(eig.min()), float(eig.max())
         if low >= -_EMBED_CLIP * top:
             break

@@ -200,6 +200,9 @@ def test_gaussian_exact_site_cap():
     grid = GridSpec([(-256.0, 768.0)], [2 ** 20 + 1])
     real = gaussian_exact(TFBMCovariance(0.7, 0.5), grid, 1)
     assert real.provenance["algorithm"] == "circulant"
+    # the telescoped eigenvalue at frequency 0 leaves nothing to clip
+    assert real.provenance["min_eigenvalue_ratio"] >= 0.0
+    assert real.provenance["clipped_share"] == 0.0
     assert real.values.shape == (2 ** 20 + 1, 1)
     assert real.values[2 ** 18, 0] == 0.0
     assert np.all(np.isfinite(real.values))
