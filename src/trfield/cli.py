@@ -206,9 +206,13 @@ def _cmd_cov(config, run, args):
     model = _load_cov_model(spec_doc, method)
     lines = ["x,x2,i,j,value"]
     pairs = _pairs(config, "cov")
-    if len({p.shape for p in pairs}) > 1:
-        raise SchemaError("cov: every point of pairs must have one length")
-    covs = model.evaluate(*np.stack(pairs, axis=1)) if pairs else []
+    # one V batch for all pairs: points zero-padded to the longest, which
+    # leaves |x|, |x2| and |x - x2| unchanged to the last bit
+    stacked = np.zeros((2, len(pairs), max((p.shape[1] for p in pairs),
+                                            default=0)))
+    for k, p in enumerate(pairs):
+        stacked[:, k, :p.shape[1]] = p
+    covs = model.evaluate(*stacked) if pairs else []
     for (x, x2), cov in zip(pairs, covs):
         for i in range(cov.shape[0]):
             for j in range(cov.shape[1]):

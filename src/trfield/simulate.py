@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 EXACT_SITE_CAP = 16384              # sites x n of the Gram route
-_EMBED_GROWTH = 3                   # circulant embedding: M up to 8x
 _EMBED_CLIP = 1e-8                  # clip eigenvalues >= -1e-8 max
 _MAGIC = b"TRF1"
 _NOISE_BLOCK_BYTES = 32 << 20       # noise (spectral: work) per block
@@ -282,29 +281,23 @@ def _increment_embedding(v_pos, h, n_sites):
     leaves only rounding there (-3.5e-10 of the largest on a 2^20 + 1-site
     TFBM line).  An embedding whose eigenvalues all lie at or above
     -``_EMBED_CLIP`` of the largest is taken, any negative ones clipped to
-    0, since doubling cures truncation, not rounding.  Otherwise M doubles,
-    up to ``_EMBED_GROWTH`` times, with V in one batch per size on the new
-    lags only.  Returns (sqrt(eigenvalues), or None if the last embedding
-    is more negative than that, and its record: length, minimum eigenvalue
-    over the largest, clipped share of the eigenvalue sum).
+    0.  The embedding is not enlarged: what remains negative comes from
+    V's quadrature error, which a longer embedding does not cure.  Returns
+    (sqrt(eigenvalues), or None if the embedding is more negative than
+    that, and its record: length, minimum eigenvalue over the largest,
+    clipped share of the eigenvalue sum).
     """
     m = _fft_size(n_sites - 1)
-    v = np.zeros(1)
-    for grow in range(_EMBED_GROWTH + 1):
-        size = m << grow
-        lags = np.arange(v.size, size + 2) * h
-        v = np.concatenate([v, v_pos(lags)[:, 0, 0]])
-        gamma = 0.5 * (v[2:] + v[:-2]) - v[1:-1]        # gamma(1..size)
-        gamma = np.concatenate([[v[1]], gamma])
-        eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
-        eig[0] = 0.5 * (v[size + 1] - v[size - 1])
-        low, top = float(eig.min()), float(eig.max())
-        if low >= -_EMBED_CLIP * top:
-            break
+    v = np.concatenate([[0.0], v_pos(np.arange(1, m + 2) * h)[:, 0, 0]])
+    gamma = 0.5 * (v[2:] + v[:-2]) - v[1:-1]            # gamma(1..m)
+    gamma = np.concatenate([[v[1]], gamma])
+    eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    eig[0] = 0.5 * (v[m + 1] - v[m - 1])
+    low, top = float(eig.min()), float(eig.max())
     # each interior eigenvalue stands for two of the circulant's 2M
     weight = np.full(eig.size, 2.0)
     weight[[0, -1]] = 1.0
-    record = {"embedding_length": 2 * size,
+    record = {"embedding_length": 2 * m,
               "min_eigenvalue_ratio": low / top,
               "clipped_share": float(weight @ np.maximum(-eig, 0.0)
                                      / (weight @ np.maximum(eig, 0.0)))}

@@ -6,6 +6,7 @@ import pytest
 
 from trfield.cli import (EXIT_EXISTENCE, EXIT_IO, EXIT_OK, EXIT_SCHEMA,
                          EXIT_TOLERANCE, main)
+from trfield.covariance import CovarianceModel, IsotropicGaussianSpec
 from trfield.simulate import Realization
 
 MA_SPEC = {"flavor": "MA", "d": 1, "n": 1, "lambda": 1.0,
@@ -154,6 +155,22 @@ def test_cov_artifacts(tmp_path):
     spec = IsotropicGaussianSpec.from_json(doc["spec"])
     expect = ibtofbf_cov(spec, [1.0], [0.4])[0, 0]
     assert float(csv[1].split(",")[-1]) == expect
+
+
+def test_cov_pairs_of_two_lengths_match_each_pair(tmp_path):
+    # pairs whose points differ in length share one V batch and give each
+    # pair's value as evaluated alone, bit for bit
+    pairs = [[[1.0], [0.4]], [[1.0, 0.0], [0.4, 0.2]], [[0.3, -0.5, 0.2],
+                                                        [0.0, 0.0, 0.0]]]
+    code, out = run(tmp_path, "cov", {"spec": IB_SPEC, "pairs": pairs})
+    assert code == EXIT_OK
+    rows = open(os.path.join(out, "covariance.csv")).read().splitlines()
+    model = CovarianceModel(IsotropicGaussianSpec.from_json(IB_SPEC))
+    assert len(rows) == 1 + len(pairs)
+    for row, (x, x2) in zip(rows[1:], pairs):
+        assert row.startswith('"%s","%s",' % (
+            " ".join(map(repr, x)), " ".join(map(repr, x2))))
+        assert float(row.split(",")[-1]) == model.evaluate(x, x2)[0, 0]
 
 
 def test_simulate_itofbf_d2_small_hurst_exits_ok(tmp_path):
@@ -534,8 +551,6 @@ XCHECK_DOC = {"check": "ibtofbf_closed_vs_spectral", "h": 0.7,
     ("xcheck", dict(XCHECK_DOC, pairs=[[[1.0]]])),
     ("cov", {"spec": IB_SPEC, "pairs": [[[1.0], [0.4, 0.2]]]}),
     ("xcheck", dict(XCHECK_DOC, pairs=[[[1.0, 0.0], [0.4]]])),
-    ("cov", {"spec": IB_SPEC,
-             "pairs": [[[1.0], [0.4]], [[1.0, 0.0], [0.4, 0.2]]]}),
     ("estimate", {"estimator": "directional_holder", "lags": "abc",
                   "spec": {"h": 0.6, "lambda": 0.2}}),
     ("estimate", {"estimator": "box_dimension", "realizations": "x.trf"}),
@@ -543,8 +558,7 @@ XCHECK_DOC = {"check": "ibtofbf_closed_vs_spectral", "h": 0.7,
         "cov_spec_without_lambda", "cov_spec_without_H", "xcheck_d_string",
         "xcheck_h_string", "xcheck_pairs_number", "cov_one_point_pair",
         "xcheck_one_point_pair", "cov_pair_lengths_differ",
-        "xcheck_pair_lengths_differ", "cov_pairs_of_two_lengths",
-        "holder_lags_string",
+        "xcheck_pair_lengths_differ", "holder_lags_string",
         "box_realizations_string"])
 def test_malformed_config_exits_schema(tmp_path, capsys, command, doc):
     code, _ = run(tmp_path, command, doc)

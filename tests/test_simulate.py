@@ -284,13 +284,49 @@ def test_circulant_route_covariance_matches_gram(model, monkeypatch):
         assert np.all(a[:, origin] == 0.0)
 
 
+def test_circulant_clips_eigenvalues_within_tolerance(monkeypatch):
+    # V rebuilt from chosen increment covariances gamma: TFBM's, less a
+    # cosine at the interior frequency 3 of the 16-point circulant, which
+    # lowers that eigenvalue pair alone to -5e-9 of the largest
+    model = TFBMCovariance(0.7, 0.5)
+    grid = GridSpec([(-0.25, 0.75)], [9])
+    h, m, j = grid.spacings[0], 8, 3
+    lags = np.arange(m + 1)
+    v = np.concatenate([[0.0], model.radial_variance(
+        np.arange(1, m + 2) * h)[:, 0, 0]])
+    gamma = np.concatenate([[v[1]], 0.5 * (v[2:] + v[:-2]) - v[1:-1]])
+    eig = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+    gamma -= (eig[j] + 5e-9 * eig.max()) / m * np.cos(np.pi * j * lags / m)
+    # V(h) = gamma(0), V((k+1)h) = 2 gamma(k) + 2 V(kh) - V((k-1)h)
+    v[1] = gamma[0]
+    for k in range(1, m + 1):
+        v[k + 1] = 2.0 * (gamma[k] + v[k]) - v[k - 1]
+    monkeypatch.setattr(
+        TFBMCovariance, "radial_variance",
+        lambda self, r: v[np.rint(r / h).astype(int)][:, None, None])
+    real = gaussian_exact(model, grid, 3)
+    prov = real.provenance
+    assert prov["algorithm"] == "circulant"
+    assert prov["embedding_length"] == 2 * m
+    assert prov["min_eigenvalue_ratio"] == pytest.approx(-5e-9, rel=1e-4)
+    assert real.values[2, 0] == 0.0
+    assert np.all(np.isfinite(real.values))
+    # the clipped share over all 2M eigenvalues of the dense circulant,
+    # where the clipped one appears twice
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    w = np.linalg.eigvalsh(np.stack([np.roll(row, k) for k in range(2 * m)]))
+    assert np.sum(w < 0.0) == 2
+    share = np.sum(np.maximum(-w, 0.0)) / np.sum(np.maximum(w, 0.0))
+    assert prov["clipped_share"] == pytest.approx(share, rel=1e-4)
+
+
 def test_circulant_indefinite_embedding_past_the_cap_raises(monkeypatch):
     # V(r) = r^3 has increments gamma(k) = 3 k h^3: no embedding is PSD
     monkeypatch.setattr(TFBMCovariance, "radial_variance",
                         lambda self, r: (r ** 3)[:, None, None])
     grid = GridSpec([(0.0, 1.0)], [20000])
     with pytest.raises(SimulationToleranceError,
-                       match="circulant embedding.*-1e-08.*length 320000"):
+                       match="circulant embedding.*-1e-08.*length 40000"):
         gaussian_exact(TFBMCovariance(0.6, 0.2), grid, 1)
     # under the cap the Gram route takes over
     real = gaussian_exact(TFBMCovariance(0.6, 0.2),
