@@ -50,7 +50,7 @@ from .simulate import (GridSpec, Realization, SimulationConfigError,
                        SimulationError, SimulationToleranceError,
                        _check_seed, gaussian_exact_many, ma_synthesis,
                        sas_truncation_report, spectral_synthesis,
-                       tfsm_synthesis)
+                       tfsm_synthesis, tfsm_truncation_report)
 from .specfun import SpecfunError
 
 EXIT_OK = 0
@@ -228,6 +228,13 @@ def _cmd_cov(config, run, args):
     return EXIT_OK
 
 
+def _refuse_truncation(run, report):
+    print(f"SaS truncation error {report['fraction']:.1%} exceeds 10% at "
+          f"site {report['site']}; refusing grid", file=sys.stderr)
+    run.finish()
+    return EXIT_TOLERANCE
+
+
 def _cmd_simulate(config, run, args):
     seed = config.get("seed", args.seed)
     if seed is None:
@@ -265,10 +272,7 @@ def _cmd_simulate(config, run, args):
             tr = sas_truncation_report(spec, grid, igrid)
             run.write_json("sas_truncation.json", tr)
             if tr["fraction"] > 0.10:
-                print(f"SaS truncation error {tr['fraction']:.1%} exceeds "
-                      "10%; refusing grid", file=sys.stderr)
-                run.finish()
-                return EXIT_TOLERANCE
+                return _refuse_truncation(run, tr)
         reals = ma_synthesis(spec, grid, igrid, seed, n_draws=n_draws)
         if n_draws == 1:
             reals = [reals]
@@ -277,10 +281,14 @@ def _cmd_simulate(config, run, args):
         if grid.d != 1:
             raise SimulationConfigError(
                 f"simulate tfsm: the grid must be 1-d, got d = {grid.d}")
-        vals = tfsm_synthesis(
-            _require(config, "hurst"), _require(config, "alpha"),
-            _require(config, "lambda"), grid.sites()[:, 0], igrid, seed,
-            n_draws=n_draws)
+        params = [_number(_require(config, key), f"simulate tfsm: {key}")
+                  for key in ("hurst", "alpha", "lambda")]
+        times = grid.sites()[:, 0]
+        tr = tfsm_truncation_report(*params, times, igrid)
+        run.write_json("tfsm_truncation.json", tr)
+        if tr["fraction"] > 0.10:
+            return _refuse_truncation(run, tr)
+        vals = tfsm_synthesis(*params, times, igrid, seed, n_draws=n_draws)
         meta = {"method": "tfsm", "seed": seed,
                 "hurst": config["hurst"], "alpha": config["alpha"],
                 "lambda": config["lambda"]}

@@ -40,6 +40,21 @@ class KernelError(ValueError):
     pass
 
 
+def _reals(value, name, ndim):
+    """``value`` as a float array of ``ndim`` dimensions if it is a JSON
+    number (ndim 0) or a regular list of numbers; else KernelError naming
+    the field."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:                  # a ragged list
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        raise KernelError(f"field spec: '{name}' must be "
+                          f"{'a number' if ndim == 0 else 'numbers'}, "
+                          f"got {value!r}")
+    return arr.astype(float)
+
+
 class MeasureSpec:
     """Driving-measure description: Gaussian or independent-SaS vector."""
 
@@ -54,7 +69,7 @@ class MeasureSpec:
         elif variant == "sas":
             if not alphas:
                 raise KernelError("sas measure needs stability indices")
-            alphas = [float(a) for a in alphas]
+            alphas = _reals(alphas, "measure.alphas", 1).tolist()
             if any(a <= 0 or a > 2 for a in alphas):
                 raise KernelError("stability indices must lie in (0, 2]")
             self.alphas = alphas
@@ -224,8 +239,8 @@ class FieldSpec:
         for key in ("flavor", "d", "n", "lambda", "E", "H", "phi", "measure"):
             if key not in doc:
                 raise KernelError(f"field spec document missing '{key}'")
-        e_mat = MatrixExponent(np.array(doc["E"], dtype=float))
-        h_mat = MatrixExponent(np.array(doc["H"], dtype=float))
+        e_mat = MatrixExponent(_reals(doc["E"], "E", 2))
+        h_mat = MatrixExponent(_reals(doc["H"], "H", 2))
         phi_doc = doc["phi"]
         if not isinstance(phi_doc, dict) or "variant" not in phi_doc:
             raise KernelError("phi document missing 'variant'")
@@ -233,8 +248,9 @@ class FieldSpec:
         phi = EHomogeneousFn(phi_doc["variant"], phi_e,
                              rho=phi_doc.get("rho"))
         measure = MeasureSpec.from_json(doc["measure"], n=int(doc["n"]))
-        return cls(doc["flavor"], doc["d"], doc["n"], doc["lambda"],
-                   e_mat, h_mat, phi, measure)
+        return cls(doc["flavor"], doc["d"], doc["n"],
+                   float(_reals(doc["lambda"], "lambda", 0)), e_mat, h_mat,
+                   phi, measure)
 
 
 def _tempered_power_term(spec, phi_value):

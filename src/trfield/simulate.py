@@ -35,7 +35,8 @@ __all__ = [
     "SimulationError", "SimulationToleranceError", "SimulationConfigError",
     "GridSpec", "Realization", "philox_stream", "sas_sample", "gaussian_exact",
     "gaussian_exact_many", "spectral_synthesis", "ma_synthesis",
-    "tfsm_synthesis", "sas_truncation_report", "truncation_margin",
+    "tfsm_synthesis", "sas_truncation_report", "tfsm_truncation_report",
+    "truncation_margin",
     "tempering_radius", "symmetric_freq_grid", "spectral_tail_cutoff",
 ]
 
@@ -43,7 +44,7 @@ EXACT_SITE_CAP = 16384              # sites x n of the Gram route
 _EMBED_CLIP = 1e-8                  # clip eigenvalues >= -1e-8 max
 _MAGIC = b"TRF1"
 _NOISE_BLOCK_BYTES = 32 << 20       # noise (spectral: work) per block
-_KERNEL_BLOCK_BYTES = 24 << 20      # kernel or factor rows per block
+_KERNEL_BLOCK_BYTES = 2 << 20       # kernel columns (nodes) per span
 
 
 class SimulationError(RuntimeError):
@@ -396,7 +397,7 @@ def gaussian_exact_many(cov_model, grid, seed, n_draws):
     gram = cov_model.gram(grid.sites(), check_psd=False)
     chol, jitter = _factor_gram(gram, grid.n_sites)
     rows = len(chol)
-    vals = _draw_products(lambda r0, r1: chol[r0:r1], rows, rows,
+    vals = _draw_products(chol, rows, rows,
                           lambda gen: gen.standard_normal(rows), seed, n_draws)
     meta.update(algorithm="cholesky", jitter=jitter)
     return [Realization(grid, vals[:, j, 0].reshape(grid.n_sites, n),
@@ -603,20 +604,22 @@ def _measure_noise(measure, dvol, m_nodes):
     return lambda gen: _cms_noise(gen, alpha, m_nodes) * dvol ** (1.0 / alpha)
 
 
-def _draw_products(kernel_rows, rows, m, draw_noise, seed, n_draws, k=1):
+def _draw_products(kernel, rows, m, draw_noise, seed, n_draws, k=1):
     """(rows, n_draws, k) products G @ draw_noise(philox_stream(seed, j)).
 
-    ``kernel_rows(r0, r1)`` builds rows r0:r1 of the (rows, m) matrix G
-    in even blocks of at most ``_KERNEL_BLOCK_BYTES``, once per block of
-    draws (so once per call when the noise fits one block); G is never
-    held whole.  ``draw_noise`` returns draw j's (m, k) noise columns,
-    drawn one draw at a time (whole-block temporaries leave the cache)
-    into a ``_NOISE_BLOCK_BYTES`` matrix; one GEMM per pair of blocks.
+    ``kernel`` is the (rows, m) matrix G, held whole (one span), or a
+    builder ``kernel(c0, c1)`` of its columns c0:c1, the integration nodes
+    c0:c1, called over even spans of at most ``_KERNEL_BLOCK_BYTES`` once
+    per block of draws (so once per call when the noise fits one block);
+    G is never held whole.  ``draw_noise`` returns draw j's (m, k) noise
+    columns, drawn one draw at a time (whole-block temporaries leave the
+    cache) into a ``_NOISE_BLOCK_BYTES`` matrix W; one GEMM per span adds
+    G[:, c0:c1] @ W[c0:c1] to the block's sums.
     """
     block = max(1, min(n_draws, _NOISE_BLOCK_BYTES // (8 * m * k)))
-    n_row_blocks = -(-rows // max(1, _KERNEL_BLOCK_BYTES // (8 * m)))
-    step = -(-rows // n_row_blocks)
-    spans = [(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
+    n_spans = -(-m // max(1, _KERNEL_BLOCK_BYTES // (8 * rows))) \
+        if callable(kernel) else 1
+    step = -(-m // n_spans)
     dm = np.empty((block, k, m))
     out = np.empty((rows, n_draws, k))
     for start in range(0, n_draws, block):
@@ -624,9 +627,17 @@ def _draw_products(kernel_rows, rows, m, draw_noise, seed, n_draws, k=1):
         for i in range(take):
             noise = draw_noise(philox_stream(seed, start + i))
             dm[i] = np.reshape(noise, (m, k)).T
-        for r0, r1 in spans:          # each block freed before the next
-            out[r0:r1, start:start + take] = (kernel_rows(r0, r1) @ dm[
-                :take].reshape(take * k, m).T).reshape(r1 - r0, take, k)
+        w = dm[:take].reshape(take * k, m)
+        sums = out[:, start:start + take].reshape(rows, take * k)
+        for c0 in range(0, m, step):  # each span freed before the next
+            c1 = min(c0 + step, m)
+            part = (kernel(c0, c1) if callable(kernel) else kernel) \
+                @ w[:, c0:c1].T
+            if c0:
+                sums += part
+            else:
+                sums[...] = part
+            del part                  # before the next span is built
     return out
 
 
@@ -680,32 +691,41 @@ def _ma_kernel_matrix(spec, sites, nodes):
                       term(spec.phi.batch(-nodes)), sites)
 
 
-def sas_truncation_report(spec, grid, integration_grid):
-    """Estimated L^alpha mass neglected outside the integration grid.
+def _truncation(rows, covered, dvol, alpha, rate, nu_abs, d, sites):
+    """Largest estimated share of L^alpha mass outside the integration
+    grid over kernel ``rows`` (one per site in ``sites``): the inside mass
+    is the Riemann sum of |kernel|^alpha, the outside part a crude
+    exponential-envelope bound (decay ``rate``, power nu_abs) integrated
+    beyond each site's ``covered`` distance."""
+    inside = np.sum(np.abs(rows) ** alpha, axis=1) * dvol
+    expo = -rate * covered + (alpha * nu_abs + d - 1) * np.log(
+        np.maximum(covered, 1.0))
+    bound_out = 2.0 * d * np.exp(np.maximum(expo, -745.0)) / rate
+    fraction = bound_out / np.maximum(inside + bound_out, 1e-300)
+    i = int(np.argmax(fraction))
+    return {"alpha": alpha, "site": sites[i].tolist(),
+            "inside_mass": float(inside[i]),
+            "outside_bound": float(bound_out[i]),
+            "fraction": float(fraction[i])}
 
-    The inside mass is the Riemann sum of |kernel|^alpha at a central
-    site; the outside part is a crude exponential-envelope upper bound
-    integrated beyond the covered phi-distance.
+
+def sas_truncation_report(spec, grid, integration_grid):
+    """Estimated L^alpha mass neglected outside the integration grid, at
+    the grid's corner sites other than the origin (the least covered ones;
+    the pinned kernel vanishes at the origin) and for the worst of them.
     """
     _same_dimension("SaS truncation report", spec, grid, integration_grid)
     alpha = min(spec.measure.alphas) if spec.measure.alphas else 2.0
-    lam, m_phi = spec.lambda_, spec.phi.extrema()[0]
-    sites = grid.sites()
-    center = sites[sites.shape[0] // 2][None, :]
-    nodes = integration_grid.midpoints()
-    g = _ma_kernel_matrix(spec, center, nodes)
-    inside = float(np.sum(np.abs(g) ** alpha)) * integration_grid.cell_volume
+    corners = _mesh([[lo, hi] for lo, hi in grid.ranges])
+    corners = corners[~np.all(corners == 0.0, axis=1)]
     lo = np.array([r[0] for r in integration_grid.ranges])
     hi = np.array([r[1] for r in integration_grid.ranges])
-    covered = float(np.min(np.minimum(center[0] - lo, hi - center[0])))
-    nu_abs = abs(float(spec.exponent.entries[0, 0]))
-    rate = alpha * lam * m_phi
-    expo = -rate * covered + alpha * nu_abs * math.log(max(covered, 1.0)) \
-        + (spec.d - 1) * math.log(max(covered, 1.0))
-    bound_out = 2.0 * spec.d * math.exp(max(expo, -745.0)) / rate
-    fraction = bound_out / max(inside + bound_out, 1e-300)
-    return {"alpha": alpha, "inside_mass": inside,
-            "outside_bound": bound_out, "fraction": fraction}
+    covered = np.min(np.minimum(corners - lo, hi - corners), axis=1)
+    g = _ma_kernel_matrix(spec, corners, integration_grid.midpoints())
+    return _truncation(g, covered, integration_grid.cell_volume, alpha,
+                       alpha * spec.lambda_ * spec.phi.extrema()[0],
+                       abs(float(spec.exponent.entries[0, 0])), spec.d,
+                       corners)
 
 
 def ma_synthesis(spec, grid, integration_grid, seed, n_draws=1,
@@ -732,7 +752,7 @@ def ma_synthesis(spec, grid, integration_grid, seed, n_draws=1,
     sites, nodes = grid.sites(), integration_grid.midpoints()
     m = nodes.shape[0]
     sums = _draw_products(
-        lambda r0, r1: _ma_kernel_matrix(spec, sites[r0:r1], nodes),
+        lambda c0, c1: _ma_kernel_matrix(spec, sites, nodes[c0:c1]),
         sites.shape[0], m,
         _measure_noise(spec.measure, integration_grid.cell_volume, m),
         seed, n_draws)
@@ -745,6 +765,45 @@ def ma_synthesis(spec, grid, integration_grid, seed, n_draws=1,
     return out if n_draws > 1 else out[0]
 
 
+def _tfsm_exponent(hurst, alpha, lam, integration_grid):
+    """H - 1/alpha after checking a 1-d integration grid, H > 0, alpha in
+    (0, 2] and lambda > 0 (finite); else SimulationConfigError."""
+    if integration_grid.d != 1:
+        raise SimulationConfigError(
+            f"tfsm: the integration grid must be 1-d, got "
+            f"d = {integration_grid.d}")
+    for name, value, ok in (("hurst", hurst, hurst > 0),
+                            ("alpha", alpha, 0 < alpha <= 2),
+                            ("lambda", lam, lam > 0)):
+        if not (ok and math.isfinite(value)):
+            raise SimulationConfigError(
+                f"tfsm: {name} = {value!r} is outside H > 0, "
+                "alpha in (0, 2], lambda > 0")
+    return hurst - 1.0 / alpha
+
+
+def tfsm_truncation_report(hurst, alpha, lam, times, integration_grid):
+    """``sas_truncation_report`` for the one-sided kernel: the estimated
+    L^alpha mass neglected below the integration grid, at the least and
+    the greatest of ``times`` other than 0.  A grid that ends below max(times, 0)
+    misses the kernel's support near y = t and raises
+    SimulationConfigError."""
+    expo = _tfsm_exponent(hurst, alpha, lam, integration_grid)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    (lo, hi), = integration_grid.ranges
+    if hi < max(times.max(), 0.0):
+        raise SimulationConfigError(
+            f"tfsm: the integration grid ends at {hi!r}, below "
+            f"max(times, 0) = {max(times.max(), 0.0)!r}")
+    ends = np.unique([times.min(), times.max()])
+    ends = ends[ends != 0.0]
+    g = _fast.tfsm_matrix(ends, integration_grid.midpoints()[:, 0], expo,
+                          lam)
+    return _truncation(g, np.minimum(ends, 0.0) - lo,
+                       integration_grid.cell_volume, alpha, alpha * lam,
+                       abs(expo), 1, ends[:, None])
+
+
 def tfsm_synthesis(hurst, alpha, lam, times, integration_grid, seed,
                    n_draws=1):
     """One-sided tempered stable motion on the line by Riemann sums.
@@ -752,18 +811,15 @@ def tfsm_synthesis(hurst, alpha, lam, times, integration_grid, seed,
     Returns an (n_draws, n_times) array; ``times`` are the observation
     points, ``integration_grid`` a 1-d GridSpec covering the kernel
     support (y <= max(times), down to the tempering radius).  Cells get
-    SaS(alpha) noise of scale dy^{1/alpha}, draw j from stream j; another
-    grid dimension raises SimulationConfigError.
+    SaS(alpha) noise of scale dy^{1/alpha}, draw j from stream j.  H <= 0,
+    alpha outside (0, 2], lambda <= 0 and another grid dimension raise
+    SimulationConfigError.
     """
-    if integration_grid.d != 1:
-        raise SimulationConfigError(
-            f"tfsm_synthesis: the integration grid must be 1-d, got "
-            f"d = {integration_grid.d}")
+    expo = _tfsm_exponent(hurst, alpha, lam, integration_grid)
     times = np.atleast_1d(times)
     nodes = integration_grid.midpoints()[:, 0]
     noise = _measure_noise(MeasureSpec("sas", alphas=[alpha]),
                            integration_grid.cell_volume, nodes.shape[0])
     return _draw_products(
-        lambda r0, r1: _fast.tfsm_matrix(times[r0:r1], nodes,
-                                         hurst - 1.0 / alpha, lam),
+        lambda c0, c1: _fast.tfsm_matrix(times, nodes[c0:c1], expo, lam),
         times.shape[0], nodes.shape[0], noise, seed, n_draws)[:, :, 0].T

@@ -261,6 +261,78 @@ def test_simulate_sas_truncation_refusal(tmp_path):
     assert code in (EXIT_TOLERANCE, EXIT_EXISTENCE)
 
 
+SAS_SPEC_D2 = dict(MA_SPEC, d=2, E=[[1.0, 0.0], [0.0, 1.0]],
+                   measure={"variant": "sas", "alphas": [1.5]})
+
+
+@pytest.mark.parametrize("spec,grid,igrid", [
+    (dict(MA_SPEC, measure={"variant": "sas", "alphas": [1.5]}),
+     {"ranges": [[-1.0, 1.0]], "counts": [9]},
+     {"ranges": [[-50.0, 50.0]], "counts": [1024]}),
+    (SAS_SPEC_D2, {"ranges": [[-1.0, 1.0]] * 2, "counts": [5, 5]},
+     {"ranges": [[-50.0, 50.0]] * 2, "counts": [101, 101]}),
+], ids=["d1", "d2"])
+def test_simulate_sas_grid_centred_on_origin_exits_ok(tmp_path, spec, grid,
+                                                      igrid):
+    # the pinned kernel row at the origin is 0: the report reads the
+    # corners, which cover least
+    doc = {"method": "ma", "seed": 1, "spec": spec, "grid": grid,
+           "integration_grid": igrid}
+    code, out = run(tmp_path, "simulate", doc)
+    assert code == EXIT_OK
+    report = json.load(open(os.path.join(out, "sas_truncation.json")))
+    assert report["fraction"] < 1e-20 and report["inside_mass"] > 0.0
+    assert report["site"] == [-1.0] * len(grid["counts"])
+    real = Realization.load(os.path.join(out, "draw_0000.trf"))
+    assert real.values[len(real.values) // 2, 0] == 0.0
+
+
+@pytest.mark.parametrize("key,value", [
+    ("hurst", 0.0), ("hurst", -0.2), ("lambda", 0.0), ("lambda", -0.3),
+    ("alpha", 0.0), ("alpha", 2.5), ("hurst", "0.7"), ("alpha", "x"),
+    ("lambda", None), ("lambda", float("inf")), ("hurst", float("nan")),
+])
+def test_simulate_tfsm_domain_exits_schema(tmp_path, capsys, monkeypatch,
+                                           key, value):
+    _refuse_synthesis(monkeypatch)
+    code, out = run(tmp_path, "simulate", dict(TFSM_DOC, seed=1,
+                                               **{key: value}))
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
+
+
+def test_simulate_tfsm_short_integration_grid_exits_tolerance(
+        tmp_path, capsys, monkeypatch):
+    _refuse_synthesis(monkeypatch)
+    doc = dict(TFSM_DOC, seed=1, integration_grid={"ranges": [[-1.0, 1.0]],
+                                                    "counts": [512]})
+    code, out = run(tmp_path, "simulate", doc)
+    assert code == EXIT_TOLERANCE
+    assert "truncation error" in capsys.readouterr().err
+    report = json.load(open(os.path.join(out, "tfsm_truncation.json")))
+    assert report["fraction"] > 0.10 and report["site"] == [1.0]
+    assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
+
+
+def test_simulate_tfsm_integration_grid_below_times_exits_schema(
+        tmp_path, capsys, monkeypatch):
+    _refuse_synthesis(monkeypatch)
+    doc = dict(TFSM_DOC, seed=1, integration_grid={"ranges": [[-120.0, 0.5]],
+                                                    "counts": [512]})
+    code, out = run(tmp_path, "simulate", doc)
+    assert code == EXIT_SCHEMA
+    assert "below max(times, 0)" in capsys.readouterr().err
+
+
+def test_simulate_tfsm_doc_report_is_small(tmp_path):
+    code, out = run(tmp_path, "simulate", dict(TFSM_DOC, seed=1))
+    assert code == EXIT_OK
+    report = json.load(open(os.path.join(out, "tfsm_truncation.json")))
+    assert report["fraction"] < 1e-10 and report["site"] == [1.0]
+
+
 def test_simulate_spectral_csv_export(tmp_path):
     doc = {"method": "spectral", "seed": 3, "csv": True,
            "spec": {"variant": "IBTOFBF", "d": 1, "n": 1, "lambda": 1.0,
@@ -554,12 +626,18 @@ XCHECK_DOC = {"check": "ibtofbf_closed_vs_spectral", "h": 0.7,
     ("estimate", {"estimator": "directional_holder", "lags": "abc",
                   "spec": {"h": 0.6, "lambda": 0.2}}),
     ("estimate", {"estimator": "box_dimension", "realizations": "x.trf"}),
+    ("check", {"spec": dict(MA_SPEC, **{"lambda": "1.0"})}),
+    ("check", {"spec": dict(MA_SPEC, H=[["0.7"]])}),
+    ("check", {"spec": dict(MA_SPEC, E="one")}),
+    ("check", {"spec": dict(MA_SPEC, measure={"variant": "sas",
+                                              "alphas": ["1.5"]})}),
 ], ids=["check_phi_without_variant", "check_measure_without_variant",
         "cov_spec_without_lambda", "cov_spec_without_H", "xcheck_d_string",
         "xcheck_h_string", "xcheck_pairs_number", "cov_one_point_pair",
         "xcheck_one_point_pair", "cov_pair_lengths_differ",
         "xcheck_pair_lengths_differ", "holder_lags_string",
-        "box_realizations_string"])
+        "box_realizations_string", "check_lambda_string", "check_H_string",
+        "check_E_string", "check_alphas_string"])
 def test_malformed_config_exits_schema(tmp_path, capsys, command, doc):
     code, _ = run(tmp_path, command, doc)
     assert code == EXIT_SCHEMA

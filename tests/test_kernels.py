@@ -105,6 +105,22 @@ def test_fieldspec_json_missing_field():
         FieldSpec.from_json({"flavor": "MA"})
 
 
+@pytest.mark.parametrize("key,value,name", [
+    ("lambda", "0.5", "'lambda'"), ("lambda", [0.5], "'lambda'"),
+    ("lambda", True, "'lambda'"), ("H", [["0.7"]], "'H'"),
+    ("H", [[0.7], [0.1, 0.2]], "'H'"), ("E", "one", "'E'"),
+    ("E", [[None]], "'E'"),
+    ("measure", {"variant": "sas", "alphas": ["1.5"]}, "'measure.alphas'"),
+    ("measure", {"variant": "sas", "alphas": 1.5}, "'measure.alphas'"),
+    ("measure", {"variant": "sas", "alphas": [False]}, "'measure.alphas'"),
+])
+def test_fieldspec_json_non_numeric_field_names_it(key, value, name):
+    doc = make_spec("MA", d=1, n=1, lam=0.5, hurst=0.7).to_json()
+    doc[key] = value
+    with pytest.raises(KernelError, match=name):
+        FieldSpec.from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # moving-average kernel
 

@@ -627,21 +627,25 @@ def _dense_ma_kernel(spec, sites, nodes):
 
 
 @pytest.mark.parametrize("case", ["diag_power_d2", "radial_d2", "mab_d1"])
-def test_ma_kernel_row_blocks_match_dense_formula(case, monkeypatch):
-    # two kernel rows per block: 9 (5) sites end in a one-row block
+def test_ma_kernel_node_spans_match_dense_formula(case, monkeypatch):
+    # at most three kernel columns (nodes) per span: 144 nodes make 48
+    # spans, 40 nodes 14 that end in a one-node span; every span holds
+    # all the sites
     spec, grid, igrid = _ma_cases()[case]
     sites, nodes = grid.sites(), igrid.midpoints()
-    monkeypatch.setattr(simulate, "_KERNEL_BLOCK_BYTES", 2 * 8 * len(nodes))
+    monkeypatch.setattr(simulate, "_KERNEL_BLOCK_BYTES", 3 * 8 * len(sites))
     built = []
     kernel = simulate._ma_kernel_matrix
 
     def spy(spec_, rows, nodes_):
-        built.append(len(rows))
+        assert np.array_equal(rows, sites)
+        built.append(len(nodes_))
         return kernel(spec_, rows, nodes_)
     monkeypatch.setattr(simulate, "_ma_kernel_matrix", spy)
     reals = ma_synthesis(spec, grid, igrid, 5, n_draws=3,
                          require_coverage=False)
-    assert built == [2] * (len(sites) // 2) + [1]
+    assert max(built) == 3 and sum(built) == len(nodes)
+    assert len(built) == -(-len(nodes) // 3)
     g = _dense_ma_kernel(spec, sites, nodes)
     origin = np.flatnonzero(np.all(sites == 0.0, axis=1))
     assert origin.size == 1
@@ -651,6 +655,60 @@ def test_ma_kernel_row_blocks_match_dense_formula(case, monkeypatch):
                                  math.sqrt(igrid.cell_volume / 2.0))
         _assert_rel(real.values[:, 0], want)
         assert real.values[origin[0], 0] == 0.0
+
+
+def _span_cases():
+    """name -> draws(n_draws): MA d = 1 (lattice kernel), TFSM and the
+    d = 2 diag_power phi; every grid holds the origin."""
+    spec2, grid2, igrid2 = _ma_cases()["diag_power_d2"]
+    igrid1 = GridSpec([(-40.0, 41.0)], [243])
+
+    def ma(spec, grid, igrid):
+        return lambda n: np.stack([r.values[:, 0] for r in ma_synthesis(
+            spec, grid, igrid, 8, n_draws=n, require_coverage=False)])
+    return {
+        "ma_d1": ma(make_ma_spec(), GridSpec([(-0.25, 0.75)], [9]),
+                    igrid1),
+        "tfsm": lambda n: tfsm_synthesis(0.7, 1.5, 0.3, [0.0, 0.25, 1.0],
+                                         igrid1, 8, n_draws=n),
+        "diag_power_d2": ma(spec2, grid2, igrid2),
+    }
+
+
+@pytest.mark.parametrize("case", ["ma_d1", "tfsm", "diag_power_d2"])
+def test_two_node_spans_match_one_span(case, monkeypatch):
+    # the sum over node spans only reorders the Riemann sum
+    draws = _span_cases()[case]
+    one = draws(4)
+    rows = one.shape[1]
+    monkeypatch.setattr(simulate, "_KERNEL_BLOCK_BYTES", 2 * 8 * rows)
+    two = draws(4)
+    _assert_rel(two, one, rtol=1e-13)
+    origin = 0 if case == "tfsm" else rows // 2 if case == "diag_power_d2" \
+        else 2
+    assert np.all(two[:, origin] == 0.0) and np.all(one[:, origin] == 0.0)
+
+
+def test_riemann_sum_peak_memory_is_bounded():
+    # 513 sites x 8193 nodes: G is 33.6 MB whole, its noise 4.2 MB
+    # (64 draws) and 8.4 MB (128 draws); only 2 MiB spans of G are held
+    import tracemalloc
+
+    spec = make_ma_spec(lam=0.5, hurst=0.7)
+    grid = GridSpec([(-2.0, 14.0)], [513])
+    igrid = GridSpec([(-122.0, 134.0)], [8193])
+    times = grid.sites()[:, 0]
+    peaks = []
+    for run in (lambda: ma_synthesis(spec, grid, igrid, 3, n_draws=64),
+                lambda: tfsm_synthesis(0.7, 1.5, 0.5, times, igrid, 3,
+                                       n_draws=128)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 12e6, peaks
 
 
 # ---------------------------------------------------------------------------
