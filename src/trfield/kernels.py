@@ -239,6 +239,10 @@ class FieldSpec:
         for key in ("flavor", "d", "n", "lambda", "E", "H", "phi", "measure"):
             if key not in doc:
                 raise KernelError(f"field spec document missing '{key}'")
+        for key in ("d", "n"):
+            if type(doc[key]) is not int:
+                raise KernelError(f"field spec: '{key}' must be an integer, "
+                                  f"got {doc[key]!r}")
         e_mat = MatrixExponent(_reals(doc["E"], "E", 2))
         h_mat = MatrixExponent(_reals(doc["H"], "H", 2))
         phi_doc = doc["phi"]
@@ -247,7 +251,7 @@ class FieldSpec:
         phi_e = e_mat.entries.T if doc["flavor"] == "H" else e_mat.entries
         phi = EHomogeneousFn(phi_doc["variant"], phi_e,
                              rho=phi_doc.get("rho"))
-        measure = MeasureSpec.from_json(doc["measure"], n=int(doc["n"]))
+        measure = MeasureSpec.from_json(doc["measure"], n=doc["n"])
         return cls(doc["flavor"], doc["d"], doc["n"],
                    float(_reals(doc["lambda"], "lambda", 0)), e_mat, h_mat,
                    phi, measure)

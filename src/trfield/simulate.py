@@ -7,10 +7,10 @@ stream j feeds the noise of draw j, whatever the number of draws.
 Exact draws on a line through the origin sum the field's stationary
 increments, drawn by circulant embedding with one batched FFT per block
 of draws.  Other exact draws, moving-average and stable synthesis
-multiply one dense real matrix (Cholesky factor or kernel matrix), built
-in blocks of rows, by per-draw noise columns; one engine,
-``_draw_products``, runs them all, one GEMM per block of rows and block
-of draws.  Spectral
+multiply one dense real matrix (Cholesky factor or kernel matrix) by
+per-draw noise columns; one engine, ``_draw_products``, runs them all.
+It builds a kernel matrix in spans of integration nodes (columns) and
+adds one GEMM per span and block of draws to the sums.  Spectral
 synthesis builds no matrix: both grids are arithmetic progressions, so
 its frequency sum is a chirp-z transform on the line and a chain of small
 per-axis phase matrices on product grids.
@@ -785,8 +785,8 @@ def _tfsm_exponent(hurst, alpha, lam, integration_grid):
 def tfsm_truncation_report(hurst, alpha, lam, times, integration_grid):
     """``sas_truncation_report`` for the one-sided kernel: the estimated
     L^alpha mass neglected below the integration grid, at the least and
-    the greatest of ``times`` other than 0.  A grid that ends below max(times, 0)
-    misses the kernel's support near y = t and raises
+    the greatest of ``times`` other than 0.  A grid that ends below
+    max(times, 0) misses the kernel's support near y = t and raises
     SimulationConfigError."""
     expo = _tfsm_exponent(hurst, alpha, lam, integration_grid)
     times = np.atleast_1d(np.asarray(times, dtype=float))

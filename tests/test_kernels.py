@@ -113,6 +113,7 @@ def test_fieldspec_json_missing_field():
     ("measure", {"variant": "sas", "alphas": ["1.5"]}, "'measure.alphas'"),
     ("measure", {"variant": "sas", "alphas": 1.5}, "'measure.alphas'"),
     ("measure", {"variant": "sas", "alphas": [False]}, "'measure.alphas'"),
+    ("n", "two", "'n'"), ("n", True, "'n'"), ("d", 1.5, "'d'"),
 ])
 def test_fieldspec_json_non_numeric_field_names_it(key, value, name):
     doc = make_spec("MA", d=1, n=1, lam=0.5, hurst=0.7).to_json()

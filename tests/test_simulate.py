@@ -658,8 +658,8 @@ def test_ma_kernel_node_spans_match_dense_formula(case, monkeypatch):
 
 
 def _span_cases():
-    """name -> draws(n_draws): MA d = 1 (lattice kernel), TFSM and the
-    d = 2 diag_power phi; every grid holds the origin."""
+    """name -> (draws(n_draws), index of the origin): MA d = 1 (lattice
+    kernel), TFSM and the d = 2 diag_power phi."""
     spec2, grid2, igrid2 = _ma_cases()["diag_power_d2"]
     igrid1 = GridSpec([(-40.0, 41.0)], [243])
 
@@ -667,30 +667,27 @@ def _span_cases():
         return lambda n: np.stack([r.values[:, 0] for r in ma_synthesis(
             spec, grid, igrid, 8, n_draws=n, require_coverage=False)])
     return {
-        "ma_d1": ma(make_ma_spec(), GridSpec([(-0.25, 0.75)], [9]),
-                    igrid1),
-        "tfsm": lambda n: tfsm_synthesis(0.7, 1.5, 0.3, [0.0, 0.25, 1.0],
-                                         igrid1, 8, n_draws=n),
-        "diag_power_d2": ma(spec2, grid2, igrid2),
+        "ma_d1": (ma(make_ma_spec(), GridSpec([(-0.25, 0.75)], [9]),
+                     igrid1), 2),
+        "tfsm": (lambda n: tfsm_synthesis(0.7, 1.5, 0.3, [0.0, 0.25, 1.0],
+                                          igrid1, 8, n_draws=n), 0),
+        "diag_power_d2": (ma(spec2, grid2, igrid2), 4),
     }
 
 
 @pytest.mark.parametrize("case", ["ma_d1", "tfsm", "diag_power_d2"])
 def test_two_node_spans_match_one_span(case, monkeypatch):
     # the sum over node spans only reorders the Riemann sum
-    draws = _span_cases()[case]
+    draws, origin = _span_cases()[case]
     one = draws(4)
-    rows = one.shape[1]
-    monkeypatch.setattr(simulate, "_KERNEL_BLOCK_BYTES", 2 * 8 * rows)
+    monkeypatch.setattr(simulate, "_KERNEL_BLOCK_BYTES", 2 * 8 * one.shape[1])
     two = draws(4)
     _assert_rel(two, one, rtol=1e-13)
-    origin = 0 if case == "tfsm" else rows // 2 if case == "diag_power_d2" \
-        else 2
     assert np.all(two[:, origin] == 0.0) and np.all(one[:, origin] == 0.0)
 
 
 def test_riemann_sum_peak_memory_is_bounded():
-    # 513 sites x 8193 nodes: G is 33.6 MB whole, its noise 4.2 MB
+    # 513 sites x 8192 nodes: G is 33.6 MB whole, its noise 4.2 MB
     # (64 draws) and 8.4 MB (128 draws); only 2 MiB spans of G are held
     import tracemalloc
 
