@@ -9,9 +9,7 @@ the moving-average and harmonizable representations.
 __version__ = "0.1.0"
 
 from .aniso import EHomogeneousFn, PolarPoint, norm0, phi_extrema, polar_decompose
-from .covariance import (CovarianceModel, IsotropicGaussianSpec,
-                         TFBMCovariance, ibtofbf_cov, itofbf_cov,
-                         itofbf_cov_spectral, tfbm_variogram)
+from .covariance import CovarianceModel, IsotropicGaussianSpec
 from .kernels import (FieldSpec, MeasureSpec, existence_check, h_kernel,
                       ma_kernel, mab_kernel, tfsm_kernel)
 from .matfun import (MatrixExponent, StemFunction, matrix_bessel_k,

@@ -28,8 +28,8 @@ import argparse
 import hashlib
 import json
 import os
+import secrets
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -37,10 +37,7 @@ import numpy as np
 from . import __version__
 from .aniso import AnisoError
 from .covariance import (CovarianceError, CovarianceModel,
-                         IsotropicGaussianSpec, TFBMCovariance,
-                         ibtofbf_cov, ibtofbf_cov_spectral_quadrature,
-                         ibtofbf_increment_cov, itofbf_cov,
-                         itofbf_cov_spectral, tfbm_variogram)
+                         IsotropicGaussianSpec, ibtofbf_increment_cov)
 from .estimate import (EstimateError, box_dimension, directional_holder,
                        semi_lrd_profile)
 from .kernels import FieldSpec, KernelError, existence_check
@@ -155,12 +152,19 @@ class _Run:
             "outputs": {},
         }
 
-    def write_bytes(self, name, blob):
+    def _replace(self, name, blob):
+        """Write ``name`` through a fresh temp file and a rename; like
+        open(), the file gets mode 0666 less the umask."""
         path = os.path.join(self.out_dir, name)
-        fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=".tmp-")
-        with os.fdopen(fd, "wb") as fh:
+        tmp = os.path.join(self.out_dir, ".tmp-" + secrets.token_hex(8))
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        with os.fdopen(os.open(tmp, flags, 0o666), "wb") as fh:
             fh.write(blob)
         os.replace(tmp, path)
+        return path
+
+    def write_bytes(self, name, blob):
+        path = self._replace(name, blob)
         self.manifest["outputs"][name] = _sha256_bytes(blob)
         return path
 
@@ -169,20 +173,8 @@ class _Run:
             doc, indent=2, sort_keys=True, default=_np_default).encode("utf-8"))
 
     def finish(self):
-        blob = json.dumps(self.manifest, indent=2, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=".tmp-")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(blob)
-        os.replace(tmp, os.path.join(self.out_dir, "manifest.json"))
-
-
-def _load_cov_model(doc, method=None):
-    variant = _require(doc, "variant", "spec")
-    if variant == "TFBM_LINE":
-        return TFBMCovariance(_require(doc, "h", "spec"),
-                              _require(doc, "lambda", "spec"))
-    spec = IsotropicGaussianSpec.from_json(doc)
-    return CovarianceModel(spec, method=method)
+        self._replace("manifest.json", json.dumps(
+            self.manifest, indent=2, sort_keys=True).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +194,8 @@ def _cmd_check(config, run, args):
 
 def _cmd_cov(config, run, args):
     spec_doc = _require(config, "spec")
-    method = config.get("method")
-    model = _load_cov_model(spec_doc, method)
+    model = CovarianceModel(IsotropicGaussianSpec.from_json(spec_doc),
+                            config.get("method"))
     lines = ["x,x2,i,j,value"]
     pairs = _pairs(config, "cov")
     # one V batch for all pairs: points zero-padded to the longest, which
@@ -222,8 +214,7 @@ def _cmd_cov(config, run, args):
                     repr(float(cov[i, j]))))
     run.write_bytes("covariance.csv", ("\n".join(lines) + "\n").encode())
     run.write_json("covariance_meta.json", {
-        "spec": spec_doc, "method": getattr(model, "method", "closed_form"),
-        "rtol": getattr(model, "rtol", None)})
+        "spec": spec_doc, "method": model.method, "rtol": model.rtol})
     run.finish()
     return EXIT_OK
 
@@ -244,7 +235,8 @@ def _cmd_simulate(config, run, args):
     n_draws = _integer(config.get("n_draws", 1), "simulate: n_draws", 1)
     grid = GridSpec.from_json(_require(config, "grid"))
     if method == "gaussian_exact":
-        model = _load_cov_model(_require(config, "spec"))
+        model = CovarianceModel(IsotropicGaussianSpec.from_json(
+            _require(config, "spec")))
         reals = gaussian_exact_many(model, grid, seed, n_draws)
     elif method == "spectral":
         count = _integer(config.get("freq_count", 512),
@@ -318,11 +310,12 @@ def _cmd_estimate(config, run, args):
                 tolerance=config.get("tolerance"))
         else:
             spec_doc = _require(config, "spec")
-            h = _require(spec_doc, "h", "spec")
-            lam = _require(spec_doc, "lambda", "spec")
+            if isinstance(spec_doc, dict):  # the TFBM_LINE of h and lambda
+                spec_doc = dict(spec_doc, variant="TFBM_LINE")
+            model = CovarianceModel(IsotropicGaussianSpec.from_json(spec_doc))
             lags = _numbers(_require(config, "lags"), "estimate: lags")
             rep = directional_holder(
-                variogram=lambda t: tfbm_variogram(h, lam, t), lags=lags,
+                variogram=lambda t: model.variance([t])[0, 0], lags=lags,
                 target=config.get("target"), tolerance=config.get("tolerance"))
     elif estimator == "box_dimension":
         reals = [Realization.load(p) for p in _paths(
@@ -353,6 +346,11 @@ def _cmd_estimate(config, run, args):
     return EXIT_OK
 
 
+# check -> the spec's variant and the bounds of the spectral side's rtol
+_XCHECKS = {"ibtofbf_closed_vs_spectral": ("IBTOFBF", 1e-9, 1e-7),
+            "itofbf_kernel_vs_spectral": ("ITOFBF", 1e-8, 1e-6)}
+
+
 def _cmd_xcheck(config, run, args):
     check = _require(config, "check")
     h = _number(_require(config, "h"), "xcheck: h")
@@ -361,21 +359,18 @@ def _cmd_xcheck(config, run, args):
     rtol = _number(config.get("rtol", 1e-4), "xcheck: rtol") \
         * args.tolerance_scale
     pairs = _pairs(config, "xcheck")
-    spec_variant = "IBTOFBF" if check.startswith("ibtofbf") else "ITOFBF"
-    spec = IsotropicGaussianSpec(spec_variant, d, 1, lam, [[h]])
+    if not isinstance(check, str) or check not in _XCHECKS:
+        raise SchemaError(f"xcheck: unknown check '{check}'")
+    variant, low, high = _XCHECKS[check]
+    spec = IsotropicGaussianSpec(variant, d, 1, lam, [[h]])
+    first = CovarianceModel(spec)
+    second = CovarianceModel(spec, "spectral_integral",
+                             rtol=min(max(rtol * 1e-2, low), high))
     rows = []
     worst = 0.0
     for x, x2 in pairs:
-        if check == "ibtofbf_closed_vs_spectral":
-            a = ibtofbf_cov(spec, x, x2)[0, 0]
-            b = ibtofbf_cov_spectral_quadrature(
-                spec, x, x2, rtol=min(max(rtol * 1e-2, 1e-9), 1e-7))[0, 0]
-        elif check == "itofbf_kernel_vs_spectral":
-            a = itofbf_cov(spec, x, x2)[0, 0]
-            b = itofbf_cov_spectral(
-                spec, x, x2, rtol=min(max(rtol * 1e-2, 1e-8), 1e-6))[0, 0]
-        else:
-            raise SchemaError(f"xcheck: unknown check '{check}'")
+        a = first.evaluate(x, x2)[0, 0]
+        b = second.evaluate(x, x2)[0, 0]
         rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
         worst = max(worst, rel)
         rows.append({"x": x.tolist(), "x2": x2.tolist(),

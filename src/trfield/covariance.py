@@ -1,13 +1,15 @@
 """Exact and quadrature covariance evaluators for the isotropic Gaussian
 tempered fields.
 
-Two variants: the exponentially tempered field (power-law kernel damped
-by e^{-lambda r}) and the Bessel-tempered field (kernel r^{h-d/2}
+Three variants: the exponentially tempered field (power-law kernel damped
+by e^{-lambda r}), the Bessel-tempered field (kernel r^{h-d/2}
 K_{h-d/2}(lambda r) with the normalization that makes its harmonizable
-amplitude exactly (lambda^2 + |xi|^2)^{-H}).  All Fourier transforms use
-the unitary (2 pi)^{-d/2} convention; the spectral constant of the
-Bessel-tempered field is calibrated against the kernel-quadrature oracle
-and recorded below (SPECTRAL_C_STAR).
+amplitude exactly (lambda^2 + |xi|^2)^{-H}) and the one-sided tempered
+moving average on the line (TFBM_LINE).  ``CovarianceModel`` evaluates
+each of them.  All Fourier transforms use the unitary (2 pi)^{-d/2}
+convention; the spectral constant of the Bessel-tempered field is
+calibrated against the kernel-quadrature oracle and recorded below
+(SPECTRAL_C_STAR).
 """
 
 import functools
@@ -22,12 +24,8 @@ from .specfun import (bessel_j_batch, bessel_k_batch, beta_fn,
 
 __all__ = [
     "CovarianceError", "IsotropicGaussianSpec", "CovarianceModel",
-    "itofbf_cx2", "itofbf_cov", "itofbf_variance", "itofbf_spectral_density",
-    "itofbf_cov_spectral", "ibtofbf_cov", "ibtofbf_increment_cov", "ibtofbf_spectral_density",
-    "ibtofbf_cov_spectral_quadrature", "ibtofbf_variance_kernel_quadrature",
-    "calibrate_spectral_constant", "tfbm_variogram", "tfbm_cov",
-    "tfbm_variogram_batch", "TFBMCovariance",
-    "SPECTRAL_C_STAR",
+    "itofbf_spectral_density", "ibtofbf_increment_cov",
+    "ibtofbf_spectral_density", "tfbm_variogram_batch", "SPECTRAL_C_STAR",
 ]
 
 # Calibrated harmonizable amplitude constant of the Bessel-tempered field
@@ -49,10 +47,11 @@ class IsotropicGaussianSpec:
     """Isotropic Gaussian spec: dims, tempering, Hurst matrix, variant.
 
     The Hurst matrix must have real simple eigenvalues (P real); the
-    Bessel variant additionally needs min h > d/4 for its closed form.
+    Bessel variant additionally needs min h > d/4 for its closed form, and
+    TFBM_LINE, the one-sided tempered moving average, is d = n = 1.
     """
 
-    VARIANTS = ("ITOFBF", "IBTOFBF")
+    VARIANTS = ("ITOFBF", "IBTOFBF", "TFBM_LINE")
 
     def __init__(self, variant, d, n, lambda_, h_matrix):
         if variant not in self.VARIANTS:
@@ -61,10 +60,12 @@ class IsotropicGaussianSpec:
         self.d = int(d)
         self.n = int(n)
         self.lambda_ = float(lambda_)
-        if self.lambda_ <= 0:
+        if not self.lambda_ > 0:
             raise CovarianceError("lambda must be positive")
         if self.d < 1 or self.d > 3:
             raise CovarianceError("d in {1, 2, 3} supported")
+        if variant == "TFBM_LINE" and (self.d, self.n) != (1, 1):
+            raise CovarianceError("TFBM_LINE is d = n = 1")
         h_matrix = np.atleast_2d(np.asarray(h_matrix, dtype=float))
         if h_matrix.shape != (self.n, self.n):
             raise CovarianceError("Hurst matrix shape does not match n")
@@ -81,7 +82,7 @@ class IsotropicGaussianSpec:
         self.p = p
         if self.n > 1 and np.min(np.diff(self.h)) < 1e-10:
             raise CovarianceError("Hurst eigenvalues must be simple")
-        if np.any(self.h <= 0) or np.any(self.h >= 1):
+        if not np.all((self.h > 0) & (self.h < 1)):
             raise CovarianceError("Hurst eigenvalues must lie in (0, 1)")
         if variant == "IBTOFBF" and self.h[0] <= self.d / 4.0:
             raise CovarianceError("Bessel closed form requires min h > d/4")
@@ -90,16 +91,43 @@ class IsotropicGaussianSpec:
         self._pair_cache = {}
 
     def to_json(self):
+        if self.variant == "TFBM_LINE":
+            return {"variant": self.variant, "h": float(self.h_matrix[0, 0]),
+                    "lambda": self.lambda_}
         return {"variant": self.variant, "d": self.d, "n": self.n,
                 "lambda": self.lambda_, "H": self.h_matrix.tolist()}
 
     @classmethod
     def from_json(cls, doc):
-        for key in ("variant", "d", "n", "lambda", "H"):
+        """Spec from its JSON document: d and n must be JSON integers,
+        lambda and h numbers and H a list of numbers, else CovarianceError
+        naming the field.  TFBM_LINE takes h and lambda, no d, n or H."""
+        if not isinstance(doc, dict):
+            raise CovarianceError(f"isotropic spec must be an object, "
+                                  f"got {doc!r}")
+        tfbm = doc.get("variant") == "TFBM_LINE"
+        for key in ("variant", "h", "lambda") if tfbm \
+                else ("variant", "d", "n", "lambda", "H"):
             if key not in doc:
                 raise CovarianceError(f"isotropic spec missing '{key}'")
+            value = doc[key]
+            if key in ("d", "n") and type(value) is not int:
+                raise CovarianceError(f"isotropic spec: '{key}' must be an "
+                                      f"integer, got {value!r}")
+            if key in ("h", "lambda", "H"):
+                try:
+                    arr = np.asarray(value)
+                except ValueError:          # a ragged list
+                    arr = np.array(None)
+                if arr.dtype.kind not in "iuf" or (key != "H" and arr.ndim):
+                    raise CovarianceError(
+                        f"isotropic spec: '{key}' must be "
+                        f"{'numbers' if key == 'H' else 'a number'}, "
+                        f"got {value!r}")
+        if tfbm:
+            return cls("TFBM_LINE", 1, 1, doc["lambda"], [[doc["h"]]])
         return cls(doc["variant"], doc["d"], doc["n"], doc["lambda"],
-                   np.array(doc["H"], dtype=float))
+                   doc["H"])
 
     def _assemble(self, pair_fn, count):
         """P (Q o S) P^T for each of ``count`` stacked (n, n) matrices S,
@@ -112,13 +140,13 @@ class IsotropicGaussianSpec:
 
 
 # ---------------------------------------------------------------------------
-# pinned-stationary covariance core
+# the covariance model: one pinned-stationary core
 #
 # Every field here is X(x) = Y(x) - Y(0) with Y stationary and isotropic,
 # so Var X(x) = V(|x|) for one radial n x n function V with V(0) = 0, and
 #     C(x, x') = (V(|x|) + V(|x'|) - V(|x - x'|)) / 2.
-# A model supplies ``v_pos``: V at every positive radius of an array,
-# returned as an (R, n, n) stack, evaluated in one batch.
+# Each variant and method supplies V at every positive radius of an array,
+# as an (R, n, n) stack evaluated in one batch (``radial_variance``).
 
 def _row_norms(points):
     """|x_a| of an (N, d) array, the squares summed over the axes in order."""
@@ -142,65 +170,111 @@ def _site_norms(points):
     return _row_norms(points), np.sqrt(dist2, out=dist2)
 
 
-def _pinned_variance(v_pos, radii, n):
-    """V at every radius of an array, (R, n, n): ``v_pos`` once on the
-    distinct positive radii, exactly 0 at radius 0."""
-    uniq, inverse = np.unique(np.asarray(radii, dtype=float),
-                              return_inverse=True)
-    v = np.zeros((uniq.size, n, n))
-    pos = uniq > 0
-    if pos.any():
-        v[pos] = v_pos(uniq[pos])
-    return v[inverse.ravel()]
+class CovarianceModel:
+    """Evaluator mapping (x, x') to an n x n covariance matrix, or two
+    stacked (P, d) arrays of points to a (P, n, n) stack, from one V batch.
 
-
-def _pinned_gram(v_pos, n, points, check_psd):
-    """Gram over sites from V on the unique radii {|x_a|} u {|x_a - x_b|}.
-
-    Radii are rounded to 12 decimals before deduplication, so that offsets
-    equal up to rounding share one evaluation.  The origin's row and column
-    are exactly 0.
+    ``METHODS`` maps each method to the variants it serves, the default
+    method of a variant first: ``closed_form`` (Bessel variant and
+    TFBM_LINE), ``kernel_quadrature`` (exponentially tempered variant) and
+    ``spectral_integral`` (either isotropic field).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n_sites = pts.shape[0]
-    norms, dist = _site_norms(pts)
-    radii = np.concatenate([norms, dist.ravel()])
-    del dist
-    np.round(radii, 12, out=radii)
-    uniq = np.unique(radii)
-    inverse = np.searchsorted(uniq, radii)
-    del radii
-    v = _pinned_variance(v_pos, uniq, n)
-    v = 0.5 * (v + v.transpose(0, 2, 1))
-    v_site = v[inverse[:n_sites]]
-    g = v_site[:, None] + v_site[None, :]
-    g -= v[inverse[n_sites:]].reshape(g.shape)
-    g *= 0.5
-    g = g.transpose(0, 2, 1, 3).reshape(n_sites * n, n_sites * n)
-    if check_psd:
-        w = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if w.min() < -1e-8 * max(np.trace(g), 1e-300):
-            raise CovarianceError(
-                f"gram matrix not PSD: min eigenvalue {w.min():.3e}")
-    return g
 
+    METHODS = {"closed_form": ("IBTOFBF", "TFBM_LINE"),
+               "kernel_quadrature": ("ITOFBF",),
+               "spectral_integral": ("ITOFBF", "IBTOFBF")}
 
-def _pinned_cov(v_pos, n, x, x2):
-    """C(x, x') from one batched V call on |x|, |x'| and |x - x'|: (n, n)
-    for two points, (P, n, n) for two stacked (P, d) arrays of them."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    pts = np.stack([np.atleast_2d(x), np.atleast_2d(x2)])
-    radii = np.concatenate([_row_norms(p) for p in (*pts, pts[0] - pts[1])])
-    v = _pinned_variance(v_pos, radii, n).reshape((3, -1, n, n))
-    cov = 0.5 * (v[0] + v[1] - v[2])
-    return cov if x.ndim == 2 else cov[0]
+    def __init__(self, spec, method=None, rtol=1e-9):
+        self.spec = spec
+        if method is None:
+            method = next(m for m, variants in self.METHODS.items()
+                          if spec.variant in variants)
+        if method not in self.METHODS:
+            raise CovarianceError(f"unknown method '{method}'")
+        if spec.variant not in self.METHODS[method]:
+            raise CovarianceError(f"{method} applies to "
+                                  f"{' and '.join(self.METHODS[method])}")
+        self.method = method
+        self.rtol = rtol
 
+    def __call__(self, x, x2):
+        return self.evaluate(x, x2)
 
-def _pinned_point_variance(v_pos, n, x):
-    """Var X(x) = V(|x|)."""
-    norms = _row_norms(np.atleast_2d(np.asarray(x, dtype=float)))
-    return _pinned_variance(v_pos, norms, n)[0]
+    def radial_variance(self, radii):
+        """V(rho) = Var X(x) at |x| = rho for every rho > 0 of an array, as
+        an (R, n, n) stack from one batch: the function behind ``gram``,
+        ``evaluate`` and the circulant route of exact line draws."""
+        spec = self.spec
+        if self.method == "spectral_integral":
+            return _spectral_v(spec, radii, self.rtol)
+        if spec.variant == "ITOFBF":
+            return _itofbf_v(spec, radii)
+        if spec.variant == "IBTOFBF":
+            return _ibtofbf_v(spec, radii)
+        return tfbm_variogram_batch(spec.h[0], spec.lambda_,
+                                    radii)[:, None, None]
+
+    def _variance_at(self, radii):
+        """V at every radius of an array, (R, n, n): ``radial_variance``
+        once on the distinct positive radii, exactly 0 at radius 0."""
+        uniq, inverse = np.unique(np.asarray(radii, dtype=float),
+                                  return_inverse=True)
+        v = np.zeros((uniq.size, self.spec.n, self.spec.n))
+        pos = uniq > 0
+        if pos.any():
+            v[pos] = self.radial_variance(uniq[pos])
+        return v[inverse.ravel()]
+
+    def evaluate(self, x, x2):
+        """C(x, x') from one V batch on |x|, |x'| and |x - x'|: (n, n) for
+        two points, (P, n, n) for two stacked (P, d) arrays of them."""
+        n = self.spec.n
+        x = np.asarray(x, dtype=float)
+        x2 = np.asarray(x2, dtype=float)
+        pts = np.stack([np.atleast_2d(x), np.atleast_2d(x2)])
+        radii = np.concatenate([_row_norms(p)
+                                for p in (*pts, pts[0] - pts[1])])
+        v = self._variance_at(radii).reshape((3, -1, n, n))
+        cov = 0.5 * (v[0] + v[1] - v[2])
+        return cov if x.ndim == 2 else cov[0]
+
+    def variance(self, x):
+        """Var X(x) = V(|x|)."""
+        return self._variance_at(
+            _row_norms(np.atleast_2d(np.asarray(x, dtype=float))))[0]
+
+    def gram(self, points, check_psd=True):
+        """Gram matrix over sites, (N n) x (N n) with n x n blocks.
+
+        V is evaluated once, in one batch, on the unique radii {|x_a|} u
+        {|x_a - x_b|}, rounded to 12 decimals so that offsets equal up to
+        rounding share one evaluation, and the Gram is filled by indexing;
+        the origin's row and column are exactly 0.  With ``check_psd`` a
+        negative eigenvalue below -1e-8 tr(G) raises CovarianceError.
+        """
+        n = self.spec.n
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        n_sites = pts.shape[0]
+        norms, dist = _site_norms(pts)
+        radii = np.concatenate([norms, dist.ravel()])
+        del dist
+        np.round(radii, 12, out=radii)
+        uniq = np.unique(radii)
+        inverse = np.searchsorted(uniq, radii)
+        del radii
+        v = self._variance_at(uniq)
+        v = 0.5 * (v + v.transpose(0, 2, 1))
+        v_site = v[inverse[:n_sites]]
+        g = v_site[:, None] + v_site[None, :]
+        g -= v[inverse[n_sites:]].reshape(g.shape)
+        g *= 0.5
+        g = g.transpose(0, 2, 1, 3).reshape(n_sites * n, n_sites * n)
+        if check_psd:
+            w = np.linalg.eigvalsh(0.5 * (g + g.T))
+            if w.min() < -1e-8 * max(np.trace(g), 1e-300):
+                raise CovarianceError(
+                    f"gram matrix not PSD: min eigenvalue {w.min():.3e}")
+        return g
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +422,6 @@ def _pair_integral_ma(spec, i, j, mu):
     return out.reshape(mus.shape) if mus.ndim else float(out[0])
 
 
-def itofbf_cx2(spec, r):
-    """C^2 matrix at radius r: kernel product integrals at tempering r*lambda."""
-    if spec.variant != "ITOFBF":
-        raise CovarianceError("itofbf_cx2 needs an ITOFBF spec")
-    if r < 0:
-        raise CovarianceError("radius must be nonnegative")
-    mu = r * spec.lambda_
-    return spec._assemble(lambda i, j: _pair_integral_ma(spec, i, j, mu), 1)[0]
-
-
 def _itofbf_v(spec, radii):
     """V(rho) = rho^H C^2(rho lambda) rho^{H^T} at every rho > 0 of an array
     (one batched pair quadrature per eigen-pair)."""
@@ -365,17 +429,6 @@ def _itofbf_v(spec, radii):
     return spec._assemble(
         lambda i, j: _pair_integral_ma(spec, i, j, mu)
         * radii ** (spec.h[i] + spec.h[j]), radii.size)
-
-
-def itofbf_variance(spec, x):
-    """Var B(x) = |x|^H C^2(|x| lambda) |x|^{H^T}."""
-    return _pinned_point_variance(functools.partial(_itofbf_v, spec),
-                                  spec.n, x)
-
-
-def itofbf_cov(spec, x, x2):
-    """Covariance from the variance function (stationary increments)."""
-    return _pinned_cov(functools.partial(_itofbf_v, spec), spec.n, x, x2)
 
 
 # ---------------------------------------------------------------------------
@@ -534,21 +587,8 @@ def _spectral_v(spec, radii, rtol):
     return spec._assemble(pair, radii.size)
 
 
-def itofbf_cov_spectral(spec, x, x2, rtol=1e-9):
-    """Covariance through the harmonizable representation.
-
-    Assembles T(x) + T(x') - T(x - x') per eigen-pair, T the radial
-    transform of the product of spectral amplitudes against the angular
-    average, with the three radii in one ``_radial_transform`` call.
-    """
-    if spec.variant != "ITOFBF":
-        raise CovarianceError("itofbf_cov_spectral needs ITOFBF")
-    return _pinned_cov(functools.partial(_spectral_v, spec, rtol=rtol),
-                       spec.n, x, x2)
-
-
 # ---------------------------------------------------------------------------
-# Bessel-tempered field: closed forms and quadrature twins
+# Bessel-tempered field: closed forms
 
 def _bes_s(s_sum, u, lam, d):
     """S(u): radial Fourier transform of (lam^2 + r^2)^{-s_sum}, at every
@@ -579,17 +619,6 @@ def _ibtofbf_v(spec, radii):
     return spec._assemble(pair, radii.size)
 
 
-def ibtofbf_cov(spec, x, x2):
-    """Closed-form covariance of the Bessel-tempered field.
-
-    Per eigen-pair: S(x-x') - S(x) - S(x') + D with S the K-Bessel radial
-    transform and D its u -> 0 limit (Beta-function constant term).
-    """
-    if spec.variant != "IBTOFBF":
-        raise CovarianceError("ibtofbf_cov needs an IBTOFBF spec")
-    return _pinned_cov(functools.partial(_ibtofbf_v, spec), spec.n, x, x2)
-
-
 def ibtofbf_increment_cov(spec, k):
     """gamma(k) = Cov(X(k+1)-X(k), X(1)-X(0)) along e1.
 
@@ -618,83 +647,13 @@ def ibtofbf_spectral_density(spec, xi):
         spec.lambda_ ** 2 + rho[:, None] ** 2) ** (-spec.h))
 
 
-def ibtofbf_cov_spectral_quadrature(spec, x, x2, rtol=1e-9):
-    """Fourier-quadrature twin of the closed form (oracle route)."""
-    if spec.variant != "IBTOFBF":
-        raise CovarianceError("needs an IBTOFBF spec")
-    return _pinned_cov(functools.partial(_spectral_v, spec, rtol=rtol),
-                       spec.n, x, x2)
-
-
-def _bes_unit_kernel(h, lam, d, z):
-    """c_Bes |z|^{h-d/2} K_{h-d/2}(lam |z|) (the normalized radial factor)."""
-    nu = h - d / 2.0
-    c_bes = lam ** (d / 2.0 - h) * 2.0 ** (1.0 - h) / gamma_fn(h)
-    z = np.abs(np.asarray(z, dtype=float))
-    out = np.zeros_like(z)
-    pos = z > 0
-    out[pos] = c_bes * z[pos] ** nu * bessel_k_batch(nu, lam * z[pos])
-    if np.any(~pos):
-        # continuous limit 2^{|nu|-1} Gamma(|nu|) (lam)^{-|nu|} ... only
-        # finite for nu > 0; callers avoid z = 0 otherwise
-        if nu > 0:
-            out[~pos] = c_bes * 2.0 ** (nu - 1.0) * gamma_fn(nu) * lam ** (-nu)
-        else:
-            out[~pos] = np.inf
-    return out
-
-
-def ibtofbf_variance_kernel_quadrature(spec_or_h, lam=None, d=1):
-    """Var at |x| = 1 by direct quadrature of the moving-average kernel.
-
-    d = 1 only; this is the independent oracle used to calibrate the
-    spectral constant.
-    """
-    if isinstance(spec_or_h, IsotropicGaussianSpec):
-        if spec_or_h.n != 1 or spec_or_h.d != 1:
-            raise CovarianceError("kernel-quadrature oracle is d = n = 1")
-        h, lam = float(spec_or_h.h[0]), spec_or_h.lambda_
-    else:
-        h = float(spec_or_h)
-    if d != 1:
-        raise CovarianceError("kernel-quadrature oracle is d = 1")
-
-    def f(y):
-        return (_bes_unit_kernel(h, lam, 1, 1.0 - y)
-                - _bes_unit_kernel(h, lam, 1, y)) ** 2
-
-    span = 30.0 / lam
-    val, _ = adaptive_gk(f, -span, 1.0 + span, rtol=5e-13, atol=1e-300,
-                         points=(0.0, 1.0), max_intervals=32768)
-    return float(val)
-
-
-def calibrate_spectral_constant(h, lam, d=1):
-    """Spectral constant from the kernel oracle vs the closed form.
-
-    Returns the multiplier c* such that the harmonizable amplitude
-    c* (lambda^2 + |xi|^2)^{-h} reproduces the kernel-quadrature variance;
-    the recorded golden is SPECTRAL_C_STAR = 1.0.
-    """
-    var_kernel = ibtofbf_variance_kernel_quadrature(h, lam, d)
-    s = _bes_s(2.0 * h, [0.0, 1.0], lam, d)
-    var_closed = 2.0 * (s[0] - s[1])
-    return math.sqrt(var_kernel / var_closed)
-
-
 # ---------------------------------------------------------------------------
 # one-sided tempered Gaussian moving average on the line (d = n = 1)
 
-def tfbm_variogram(h, lam, t):
-    """E X(t)^2 for the one-sided tempered kernel (t-y)_+^{h-1/2}
-    e^{-lam (t-y)_+} - (-y)_+^{h-1/2} e^{-lam (-y)_+} with Gaussian noise.
-
-    Closed form via K_h; regular for every h in (0, 1), including 1/2.
-    """
-    return float(tfbm_variogram_batch(h, lam, np.array([t]))[0])
-
-
 def tfbm_variogram_batch(h, lam, t):
+    """E X(t)^2 at every t of an array for the one-sided tempered kernel
+    (t-y)_+^{h-1/2} e^{-lam (t-y)_+} - (-y)_+^{h-1/2} e^{-lam (-y)_+} with
+    Gaussian noise: closed form via K_h, regular for every h in (0, 1)."""
     if not 0 < h < 1:
         raise CovarianceError("variogram requires h in (0, 1)")
     if lam <= 0:
@@ -711,102 +670,11 @@ def tfbm_variogram_batch(h, lam, t):
     return out
 
 
-def tfbm_cov(h, lam, s, t):
-    """Covariance of the one-sided tempered Gaussian field on the line."""
-    return 0.5 * (tfbm_variogram(h, lam, s) + tfbm_variogram(h, lam, t)
-                  - tfbm_variogram(h, lam, s - t))
+# two former names, still imported by perfbench/checks.py
+def itofbf_variance(spec, x):
+    return CovarianceModel(spec).variance(x)
 
 
-class TFBMCovariance:
-    """CovarianceModel-compatible evaluator for the one-sided tempered
-    Gaussian moving average on the line (closed-form variogram)."""
-
-    n = 1
-    method = "closed_form"
-
-    def __init__(self, h, lam):
-        self.h = float(h)
-        self.lambda_ = float(lam)
-        self.spec = self          # quacks like a spec for provenance
-
-    def to_json(self):
-        return {"variant": "TFBM_LINE", "h": self.h, "lambda": self.lambda_}
-
-    def radial_variance(self, radii):
-        """V at every radius > 0 of an array, (R, 1, 1)."""
-        return tfbm_variogram_batch(self.h, self.lambda_, radii)[:, None, None]
-
-    def evaluate(self, x, x2):
-        return _pinned_cov(self.radial_variance, 1, x, x2)
-
-    __call__ = evaluate
-
-    def variance(self, x):
-        return _pinned_point_variance(self.radial_variance, 1, x)
-
-    def variogram(self, t):
-        return tfbm_variogram(self.h, self.lambda_, t)
-
-    def gram(self, points, check_psd=True):
-        """Gram matrix over sites on the line; see CovarianceModel.gram."""
-        return _pinned_gram(self.radial_variance, 1, points, check_psd)
-
-
-# ---------------------------------------------------------------------------
-
-class CovarianceModel:
-    """Evaluator mapping (x, x') to an n x n covariance matrix, or two
-    stacked (P, d) arrays of points to a (P, n, n) stack, from one V batch.
-
-    methods: ``closed_form`` (Bessel variant), ``kernel_quadrature``
-    (exponentially tempered variant), ``spectral_integral`` (either).
-    """
-
-    METHODS = ("closed_form", "kernel_quadrature", "spectral_integral")
-
-    def __init__(self, spec, method=None, rtol=1e-9):
-        self.spec = spec
-        if method is None:
-            method = "closed_form" if spec.variant == "IBTOFBF" \
-                else "kernel_quadrature"
-        if method not in self.METHODS:
-            raise CovarianceError(f"unknown method '{method}'")
-        if method == "closed_form" and spec.variant != "IBTOFBF":
-            raise CovarianceError("closed_form applies to IBTOFBF")
-        if method == "kernel_quadrature" and spec.variant != "ITOFBF":
-            raise CovarianceError("kernel_quadrature applies to ITOFBF")
-        self.method = method
-        self.rtol = rtol
-
-    def __call__(self, x, x2):
-        return self.evaluate(x, x2)
-
-    def radial_variance(self, radii):
-        """V(rho) = Var X(x) at |x| = rho for every rho > 0 of an array, as
-        an (R, n, n) stack from one batch: the function behind ``gram``,
-        ``evaluate`` and the circulant route of exact line draws."""
-        if self.method == "closed_form":
-            return _ibtofbf_v(self.spec, radii)
-        if self.method == "kernel_quadrature":
-            return _itofbf_v(self.spec, radii)
-        return _spectral_v(self.spec, radii, self.rtol)
-
-    def evaluate(self, x, x2):
-        return _pinned_cov(self.radial_variance, self.spec.n, x, x2)
-
-    def variance(self, x):
-        return _pinned_point_variance(self.radial_variance, self.spec.n, x)
-
-    def gram(self, points, check_psd=True):
-        """Gram matrix over sites, (N n) x (N n) with n x n blocks.
-
-        Every model here has stationary increments and is pinned at the
-        origin, so C(x, x') = (V(|x|) + V(|x'|) - V(|x - x'|)) / 2 with V
-        the radial variance function, V(0) = 0.  V is evaluated once, in
-        one batch, on the unique radii {|x_a|} u {|x_a - x_b|}, and the
-        Gram is filled by indexing; the origin's row and column are
-        exactly 0.  With ``check_psd`` a negative eigenvalue below
-        -1e-8 tr(G) raises CovarianceError.
-        """
-        return _pinned_gram(self.radial_variance, self.spec.n, points,
-                            check_psd)
+def TFBMCovariance(h, lam):
+    return CovarianceModel(IsotropicGaussianSpec("TFBM_LINE", 1, 1, lam,
+                                                 [[h]]))

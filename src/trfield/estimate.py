@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from . import _fast
-from .covariance import IsotropicGaussianSpec, ibtofbf_cov, itofbf_cov
+from .covariance import CovarianceModel, IsotropicGaussianSpec
 
 __all__ = [
     "EstimateError", "EstimateReport", "fit_loglog", "directional_holder",
@@ -264,12 +264,9 @@ def _scaled_cov(spec, c, x, x2):
     Hurst exponent (the Bessel normalization shifts it to 2H - d/2 I)."""
     scaled = IsotropicGaussianSpec(spec.variant, spec.d, spec.n,
                                    c * spec.lambda_, spec.h_matrix)
-    cov = itofbf_cov(scaled, x, x2) if spec.variant == "ITOFBF" \
-        else ibtofbf_cov(scaled, x, x2)
-    if spec.variant == "ITOFBF":
-        h_eff = spec.h
-    else:
-        h_eff = 2.0 * spec.h - spec.d / 2.0
+    cov = CovarianceModel(scaled).evaluate(x, x2)
+    h_eff = 2.0 * spec.h - spec.d / 2.0 if spec.variant == "IBTOFBF" \
+        else spec.h
     factor = spec.p @ np.diag(c ** h_eff) @ np.linalg.inv(spec.p)
     return factor @ cov @ factor.T
 
@@ -285,11 +282,11 @@ def scaling_law_check(spec, c, sites, seed=None, n_draws=0,
     compared within 3 standard errors.
     """
     sites = [np.atleast_1d(np.asarray(s, dtype=float)) for s in sites]
-    cov_fn = itofbf_cov if spec.variant == "ITOFBF" else ibtofbf_cov
+    model = CovarianceModel(spec)
     worst = 0.0
     for a in sites:
         for b in sites:
-            lhs = cov_fn(spec, c * a, c * b)
+            lhs = model.evaluate(c * a, c * b)
             rhs = _scaled_cov(spec, c, a, b)
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
             worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))

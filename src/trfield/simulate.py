@@ -282,8 +282,12 @@ def _increment_embedding(v_pos, h, n_sites):
     leaves only rounding there (-3.5e-10 of the largest on a 2^20 + 1-site
     TFBM line).  An embedding whose eigenvalues all lie at or above
     -``_EMBED_CLIP`` of the largest is taken, any negative ones clipped to
-    0.  The embedding is not enlarged: what remains negative comes from
-    V's quadrature error, which a longer embedding does not cure.  Returns
+    0.  The embedding is not enlarged, though a longer one does shrink the
+    negative eigenvalues: on the ITOFBF d = 1, H = 1/2 line of 257 sites at
+    h = 1/256 the minimum over the largest goes from -2.38e-7 at length 512
+    to -1.51e-8 at 4096 for lambda = 0.05, and from -7.18e-8 to -1.98e-8
+    for lambda = 0.01; at lambda = 0.05 they belong to the model itself,
+    not to V's quadrature error.  Returns
     (sqrt(eigenvalues), or None if the embedding is more negative than
     that, and its record: length, minimum eigenvalue over the largest,
     clipped share of the eigenvalue sum).
@@ -352,13 +356,13 @@ def gaussian_exact_many(cov_model, grid, seed, n_draws):
     """Exact Gaussian draws from the covariance model on a grid.
 
     Two routes, chosen here.  A 1-d grid that has the origin as a site,
-    for a scalar model with a ``radial_variance`` V, takes the circulant
-    route: the stationary increments of X come from one circulant
-    embedding (``_increment_embedding``) and one batched FFT per block of
-    draws (``_circulant_draws``), in O(N log N) time and O(N) memory at
-    any size.  Everything else (d >= 2, n >= 2, an origin off the grid, a
-    model without V, an embedding more negative than its clip tolerance)
-    takes the Gram route: the Cholesky factor of the (N n)^2 Gram, within
+    for a scalar model, takes the circulant route: the stationary
+    increments of X come from one circulant embedding of the model's
+    ``radial_variance`` V (``_increment_embedding``) and one batched FFT
+    per block of draws (``_circulant_draws``), in O(N log N) time and O(N)
+    memory at any size.  Everything else (d >= 2, n >= 2, an origin off
+    the grid, an embedding more negative than its clip tolerance) takes
+    the Gram route: the Cholesky factor of the (N n)^2 Gram, within
     ``EXACT_SITE_CAP``.  An indefinite embedding past the cap raises
     SimulationToleranceError.
 
@@ -368,13 +372,12 @@ def gaussian_exact_many(cov_model, grid, seed, n_draws):
     the Cholesky route.
     """
     n = cov_model.spec.n
-    v_pos = getattr(cov_model, "radial_variance", None)
     origin = _origin_index(grid)
     meta = {"method": "gaussian_exact", "seed": int(seed),
             "spec": cov_model.spec.to_json(), "grid": grid.to_json()}
-    if grid.d == n == 1 and origin is not None and v_pos is not None:
+    if grid.d == n == 1 and origin is not None:
         sqrt_eig, record = _increment_embedding(
-            v_pos, grid.spacings[0], grid.n_sites)
+            cov_model.radial_variance, grid.spacings[0], grid.n_sites)
         meta.update(record)
         if sqrt_eig is not None:
             vals = _circulant_draws(sqrt_eig, grid.n_sites, origin, seed,
@@ -565,6 +568,9 @@ def _spectral_density_for(spec):
     from .covariance import (ibtofbf_spectral_density,
                              itofbf_spectral_density)
     if isinstance(spec, IsotropicGaussianSpec):
+        if spec.variant == "TFBM_LINE":
+            raise SimulationConfigError(
+                "spectral synthesis: TFBM_LINE has no spectral density")
         fn = itofbf_spectral_density if spec.variant == "ITOFBF" \
             else ibtofbf_spectral_density
         p_decay = spec.d / 2.0 + float(np.min(spec.h)) \

@@ -6,15 +6,12 @@ import math
 import time
 
 import numpy as np
-from stat_helpers import ks_2sample_pvalue, kv_simpson
+from stat_helpers import (calibrate_spectral_constant, ks_2sample_pvalue,
+                          kv_simpson, tfbm_model)
 
 from trfield.aniso import EHomogeneousFn
 from trfield.covariance import (CovarianceModel, IsotropicGaussianSpec,
-                                TFBMCovariance, calibrate_spectral_constant,
-                                ibtofbf_cov, ibtofbf_cov_spectral_quadrature,
-                                ibtofbf_increment_cov, itofbf_cov,
-                                itofbf_cov_spectral, itofbf_variance,
-                                tfbm_variogram)
+                                ibtofbf_increment_cov)
 from trfield.estimate import (box_dimension, directional_holder,
                               scaling_law_check, semi_lrd_profile)
 from trfield.kernels import FieldSpec, MeasureSpec, tfsm_kernel
@@ -67,10 +64,11 @@ def test_A2_bessel_representation_equivalence():
     for h in (0.6, 0.9):
         for lam in (0.3, 1.0):
             spec = IsotropicGaussianSpec("IBTOFBF", 1, 1, lam, [[h]])
+            closed = CovarianceModel(spec)
+            spectral = CovarianceModel(spec, "spectral_integral", rtol=1e-9)
             for x, x2 in pairs:
-                a = ibtofbf_cov(spec, [x], [x2])[0, 0]
-                b = ibtofbf_cov_spectral_quadrature(spec, [x], [x2],
-                                                    rtol=1e-9)[0, 0]
+                a = closed.evaluate([x], [x2])[0, 0]
+                b = spectral.evaluate([x], [x2])[0, 0]
                 worst_d1 = max(worst_d1, abs(a - b) / abs(a))
     worst_d2 = 0.0
     pairs2 = [(rng.uniform(0.2, 1.5, 2), rng.uniform(-1.0, 1.0, 2))
@@ -78,10 +76,11 @@ def test_A2_bessel_representation_equivalence():
     for h in (0.6, 0.9):
         for lam in (0.3, 1.0):
             spec = IsotropicGaussianSpec("IBTOFBF", 2, 1, lam, [[h]])
+            closed = CovarianceModel(spec)
+            spectral = CovarianceModel(spec, "spectral_integral", rtol=1e-7)
             for x, x2 in pairs2:
-                a = ibtofbf_cov(spec, x, x2)[0, 0]
-                b = ibtofbf_cov_spectral_quadrature(spec, x, x2,
-                                                    rtol=1e-7)[0, 0]
+                a = closed.evaluate(x, x2)[0, 0]
+                b = spectral.evaluate(x, x2)[0, 0]
                 worst_d2 = max(worst_d2, abs(a - b) / abs(a))
     elapsed = time.perf_counter() - t0
     _report("A2", worst_d1 < 1e-6 and worst_d2 < 1e-4 and elapsed < 60.0,
@@ -106,9 +105,11 @@ def test_A4_itofbf_cross_representation():
              for _ in range(6)]
     for h in (0.3, 0.7):
         spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0, [[h]])
+        kernel = CovarianceModel(spec)
+        spectral = CovarianceModel(spec, "spectral_integral", rtol=1e-6)
         for x, x2 in pairs:
-            a = itofbf_cov(spec, [x], [x2])[0, 0]
-            b = itofbf_cov_spectral(spec, [x], [x2], rtol=1e-6)[0, 0]
+            a = kernel.evaluate([x], [x2])[0, 0]
+            b = spectral.evaluate([x], [x2])[0, 0]
             scale = max(abs(a), abs(b))
             worst = max(worst, abs(a - b) / scale)
     elapsed = time.perf_counter() - t0
@@ -134,7 +135,8 @@ def test_A5_operator_scaling_law():
     reals = ma_synthesis(fs, grid, igrid, 55, n_draws=n_draws)
     emp = np.stack([r.values[0, 0] for r in reals]).var()
     spec_scaled = IsotropicGaussianSpec("ITOFBF", 1, 1, c * 1.0, [[0.6]])
-    target = c ** (2 * 0.6) * itofbf_variance(spec_scaled, [x])[0, 0]
+    target = c ** (2 * 0.6) \
+        * CovarianceModel(spec_scaled).variance([x])[0, 0]
     se = emp * math.sqrt(2.0 / n_draws)
     mc_ok = abs(emp - target) < 3.0 * se
     _report("A5", worst < 1e-6 and mc_ok,
@@ -144,17 +146,17 @@ def test_A5_operator_scaling_law():
 
 def test_A6_stationary_increments():
     spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0, [[0.6]])
+    model = CovarianceModel(spec)
     x = np.array([0.7])
     base = None
     worst = 0.0
     for h in (np.array([0.0]), np.array([1.3]), np.array([-2.1])):
-        v = (itofbf_cov(spec, x + h, x + h)[0, 0]
-             - 2.0 * itofbf_cov(spec, x + h, h)[0, 0]
-             + itofbf_cov(spec, h, h)[0, 0])
+        v = (model.evaluate(x + h, x + h)[0, 0]
+             - 2.0 * model.evaluate(x + h, h)[0, 0]
+             + model.evaluate(h, h)[0, 0])
         base = v if base is None else base
         worst = max(worst, abs(v - base) / base)
     # empirical: X(x+h) - X(h) vs X(x) on independent draw sets
-    model = CovarianceModel(spec)
     p_values = []
     for i, h in enumerate((0.5, 1.25, 2.0)):
         grid = GridSpec([(0.0, h + 0.7)], [3])   # sites 0, mid, h + x
@@ -187,8 +189,9 @@ def test_A7_sample_path_targets():
     dt = 1.0 / 1023
     lags = np.arange(2, 17) * dt
     for h in (0.3, 0.5, 0.8):
+        model = tfbm_model(h, lam)
         rep = directional_holder(
-            variogram=lambda t: tfbm_variogram(h, lam, t), lags=lags,
+            variogram=lambda t: model.variance([t])[0, 0], lags=lags,
             target=h, tolerance=0.05)
         ok &= bool(rep.passed)
         details.append(f"analytic H={h}: {rep.estimate:.3f}")
@@ -196,7 +199,7 @@ def test_A7_sample_path_targets():
     # standard deviation is at most 0.025, a quarter of the tolerance)
     grid_mc = GridSpec([(0.0, 1.0)], [1024])
     for h in (0.3, 0.5, 0.8):
-        reals = gaussian_exact_many(TFBMCovariance(h, lam), grid_mc,
+        reals = gaussian_exact_many(tfbm_model(h, lam), grid_mc,
                                     700 + int(10 * h), 400)
         rep = directional_holder(realizations=reals, direction=[1.0],
                                  target=h, tolerance=0.1)
@@ -205,7 +208,7 @@ def test_A7_sample_path_targets():
     # box dimension: 20 paths, target 2 - H
     grid_box = GridSpec([(0.0, 1.0)], [4097])
     for h in (0.3, 0.5, 0.8):
-        reals = gaussian_exact_many(TFBMCovariance(h, lam), grid_box,
+        reals = gaussian_exact_many(tfbm_model(h, lam), grid_box,
                                     800 + int(10 * h), 20)
         rep = box_dimension(reals, scales=[2.0 ** -j for j in range(2, 8)],
                             target=2.0 - h, tolerance=0.1)

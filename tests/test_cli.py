@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from trfield.cli import (EXIT_EXISTENCE, EXIT_IO, EXIT_OK, EXIT_SCHEMA,
 from trfield.covariance import CovarianceModel, IsotropicGaussianSpec
 from trfield.simulate import Realization
 
+IB_SPEC = {"variant": "IBTOFBF", "d": 1, "n": 1, "lambda": 0.5,
+           "H": [[0.7]]}
 MA_SPEC = {"flavor": "MA", "d": 1, "n": 1, "lambda": 1.0,
            "E": [[1.0]], "H": [[0.7]],
            "phi": {"variant": "euclidean"},
@@ -109,9 +112,7 @@ def test_simulate_circulant_tolerance_failure_exits_tolerance(
         tmp_path, capsys, monkeypatch):
     # V(r) = r^3 makes every embedding indefinite; past the Gram route's
     # cap the line cannot draw
-    from trfield.covariance import TFBMCovariance
-
-    monkeypatch.setattr(TFBMCovariance, "radial_variance",
+    monkeypatch.setattr(CovarianceModel, "radial_variance",
                         lambda self, r: (r ** 3)[:, None, None])
     doc = {"method": "gaussian_exact", "seed": 1,
            "spec": {"variant": "TFBM_LINE", "h": 0.6, "lambda": 0.2},
@@ -151,9 +152,8 @@ def test_cov_artifacts(tmp_path):
     meta = json.load(open(os.path.join(out, "covariance_meta.json")))
     assert meta["spec"]["variant"] == "IBTOFBF"
     # values round-trip through repr at full precision
-    from trfield.covariance import IsotropicGaussianSpec, ibtofbf_cov
     spec = IsotropicGaussianSpec.from_json(doc["spec"])
-    expect = ibtofbf_cov(spec, [1.0], [0.4])[0, 0]
+    expect = CovarianceModel(spec).evaluate([1.0], [0.4])[0, 0]
     assert float(csv[1].split(",")[-1]) == expect
 
 
@@ -393,6 +393,72 @@ def test_estimate_semi_lrd(tmp_path):
     assert rep["extras"]["exponential_window"]
 
 
+TFBM_SIM = {"method": "gaussian_exact", "seed": 1,
+            "spec": {"variant": "TFBM_LINE", "h": 0.6, "lambda": 0.2},
+            "grid": {"ranges": [[0.0, 1.0]], "counts": [9]}}
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("cov", {"spec": dict(IB_SPEC, d=True, H=[["0.7"]], **{"lambda": "0.5"}),
+             "pairs": [[[1.0], [0.4]]]}, "d"),
+    ("cov", {"spec": dict(IB_SPEC, **{"lambda": "0.5"}),
+             "pairs": [[[1.0], [0.4]]]}, "lambda"),
+    ("cov", {"spec": dict(IB_SPEC, H=[["0.7"]]),
+             "pairs": [[[1.0], [0.4]]]}, "H"),
+    ("simulate", dict(TFBM_SIM, spec={"variant": "TFBM_LINE", "h": "0.7",
+                                      "lambda": 0.2}), "h"),
+    ("simulate", dict(TFBM_SIM, spec={"variant": "TFBM_LINE", "h": 0.7,
+                                      "lambda": True}), "lambda"),
+    ("simulate", dict(TFBM_SIM, method="spectral",
+                      spec=dict(IB_SPEC, n="1")), "n"),
+    ("estimate", {"estimator": "directional_holder", "lags": [0.1, 0.2],
+                  "spec": {"h": "0.7", "lambda": 0.5}}, "h"),
+    ("estimate", {"estimator": "directional_holder", "lags": [0.1, 0.2],
+                  "spec": {"h": 0.7, "lambda": True}}, "lambda"),
+    ("estimate", {"estimator": "semi_lrd",
+                  "spec": dict(IB_SPEC, H=[[True]])}, "H"),
+], ids=["cov_d_bool", "cov_lambda_string", "cov_H_string",
+        "simulate_tfbm_h_string", "simulate_tfbm_lambda_bool",
+        "simulate_spectral_n_string", "holder_h_string", "holder_lambda_bool",
+        "semi_lrd_H_bool"])
+def test_isotropic_spec_non_number_exits_schema(tmp_path, capsys, command,
+                                                doc, field):
+    code, _ = run(tmp_path, command, doc)
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{field}' must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("cov", {"method": "kernel_quadrature", "spec": TFBM_SIM["spec"],
+             "pairs": [[[1.0], [0.4]]]}),
+    ("simulate", dict(TFBM_SIM, method="spectral")),
+])
+def test_tfbm_line_other_methods_exit_schema(tmp_path, capsys, command, doc):
+    code, _ = run(tmp_path, command, doc)
+    assert code == EXIT_SCHEMA
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_honour_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        runs = [run(tmp_path, "simulate", dict(TFBM_SIM, csv=True)),
+                run(tmp_path, "cov", {"spec": IB_SPEC,
+                                      "pairs": [[[1.0], [0.4]]]})]
+    finally:
+        os.umask(old)
+    for code, out in runs:
+        assert code == EXIT_OK
+        names = os.listdir(out)
+        assert "manifest.json" in names and len(names) == 3
+        for name in names:
+            assert stat.S_IMODE(os.stat(os.path.join(out, name)).st_mode) \
+                == mode, name
+
+
 def test_estimate_box_dimension_from_saved_paths(tmp_path):
     sim = {"method": "gaussian_exact", "seed": 5, "n_draws": 3,
            "spec": {"variant": "TFBM_LINE", "h": 0.5, "lambda": 0.1},
@@ -519,7 +585,7 @@ def _refuse_synthesis(monkeypatch):
     def synthesis(*args, **kwargs):
         raise AssertionError("a model was built for a bad config")
 
-    for name in ("tfsm_synthesis", "spectral_synthesis", "_load_cov_model"):
+    for name in ("tfsm_synthesis", "spectral_synthesis", "CovarianceModel"):
         monkeypatch.setattr(cli, name, synthesis)
 
 
@@ -603,8 +669,6 @@ def test_simulate_grid_of_another_dimension_exits_schema(
     assert not os.path.exists(os.path.join(out, "draw_0000.trf"))
 
 
-IB_SPEC = {"variant": "IBTOFBF", "d": 1, "n": 1, "lambda": 0.5,
-           "H": [[0.7]]}
 XCHECK_DOC = {"check": "ibtofbf_closed_vs_spectral", "h": 0.7,
               "lambda": 1.0, "d": 1, "pairs": [[[1.0], [0.4]]]}
 

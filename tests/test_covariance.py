@@ -4,17 +4,15 @@ import re
 import numpy as np
 import pytest
 
+from stat_helpers import (calibrate_spectral_constant,
+                          ibtofbf_variance_kernel_quadrature, tfbm_cov,
+                          tfbm_model)
+
 import trfield.covariance as cov
 from trfield.covariance import (CovarianceError, CovarianceModel,
-                                IsotropicGaussianSpec, TFBMCovariance,
-                                calibrate_spectral_constant, ibtofbf_cov,
-                                ibtofbf_cov_spectral_quadrature,
-                                ibtofbf_increment_cov,
+                                IsotropicGaussianSpec, ibtofbf_increment_cov,
                                 ibtofbf_spectral_density,
-                                ibtofbf_variance_kernel_quadrature,
-                                itofbf_cov, itofbf_cov_spectral, itofbf_cx2,
-                                itofbf_spectral_density, itofbf_variance,
-                                tfbm_cov, tfbm_variogram)
+                                itofbf_spectral_density, tfbm_variogram_batch)
 from trfield.quadrature import (QuadratureError, adaptive_gk,
                                 gauss_legendre, integrate_decaying)
 from trfield.specfun import gamma_fn, hyp2f1
@@ -65,6 +63,46 @@ def test_spec_json_roundtrip():
     spec2 = IsotropicGaussianSpec.from_json(doc)
     assert spec2.variant == "IBTOFBF"
     assert np.allclose(spec2.h, spec.h)
+
+
+def test_tfbm_line_spec():
+    doc = {"variant": "TFBM_LINE", "h": 0.6, "lambda": 0.2}
+    spec = IsotropicGaussianSpec.from_json(doc)
+    assert (spec.d, spec.n) == (1, 1)
+    # provenance keeps its three keys, in this order
+    assert list(spec.to_json().items()) == list(doc.items())
+    assert CovarianceModel(spec).method == "closed_form"
+    for method in ("kernel_quadrature", "spectral_integral"):
+        with pytest.raises(CovarianceError, match="applies to"):
+            CovarianceModel(spec, method=method)
+    for bad in [dict(doc, h=1.0), dict(doc, h=0.0),
+                dict(doc, **{"lambda": 0})]:
+        with pytest.raises(CovarianceError):
+            IsotropicGaussianSpec.from_json(bad)
+    with pytest.raises(CovarianceError, match="d = n = 1"):
+        IsotropicGaussianSpec("TFBM_LINE", 2, 1, 0.2, [[0.6]])
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"variant": "ITOFBF", "d": True, "n": 1, "lambda": 0.5,
+      "H": [[0.7]]}, "d"),
+    ({"variant": "ITOFBF", "d": 1, "n": 1.0, "lambda": 0.5,
+      "H": [[0.7]]}, "n"),
+    ({"variant": "ITOFBF", "d": 1, "n": 1, "lambda": "0.5",
+      "H": [[0.7]]}, "lambda"),
+    ({"variant": "IBTOFBF", "d": 1, "n": 1, "lambda": [0.5],
+      "H": [[0.7]]}, "lambda"),
+    ({"variant": "ITOFBF", "d": 1, "n": 1, "lambda": 0.5,
+      "H": [["0.7"]]}, "H"),
+    ({"variant": "ITOFBF", "d": 1, "n": 2, "lambda": 0.5,
+      "H": [[0.7, 0.1], [0.5]]}, "H"),
+    ({"variant": "TFBM_LINE", "h": "0.7", "lambda": 0.5}, "h"),
+    ({"variant": "TFBM_LINE", "h": 0.7, "lambda": True}, "lambda"),
+    ({"variant": "TFBM_LINE", "h": None, "lambda": 0.5}, "h"),
+])
+def test_spec_json_non_numeric_field_names_it(doc, field):
+    with pytest.raises(CovarianceError, match=f"'{field}' must be"):
+        IsotropicGaussianSpec.from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +164,28 @@ def test_pair_integral_degenerate_at_half():
 
 
 def test_cx2_symmetric_psd():
-    spec = IsotropicGaussianSpec("ITOFBF", 1, 2, 1.0,
+    # V(1) = C^2(lambda): the kernel product integrals at tempering 1.3
+    spec = IsotropicGaussianSpec("ITOFBF", 1, 2, 1.3,
                                  [[0.7, 0.2], [0.0, 0.35]])
-    c2 = itofbf_cx2(spec, 1.3)
+    c2 = CovarianceModel(spec).variance([1.0])
     assert np.max(np.abs(c2 - c2.T)) < 1e-12 * np.max(np.abs(c2))
     assert np.min(np.linalg.eigvalsh(c2)) > -1e-12 * np.trace(c2)
 
 
 def test_cov_degenerate_arguments():
-    spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 0.7, [[0.6]])
-    assert np.allclose(itofbf_cov(spec, [1.2], [0.0]), 0.0)
-    var = itofbf_variance(spec, [1.2])
-    assert np.allclose(itofbf_cov(spec, [1.2], [1.2]), var)
+    model = CovarianceModel(IsotropicGaussianSpec("ITOFBF", 1, 1, 0.7,
+                                                  [[0.6]]))
+    assert np.allclose(model.evaluate([1.2], [0.0]), 0.0)
+    var = model.variance([1.2])
+    assert np.allclose(model.evaluate([1.2], [1.2]), var)
 
 
 def test_cov_matrix_symmetry_under_swap():
     spec = IsotropicGaussianSpec("ITOFBF", 1, 2, 1.0,
                                  [[0.7, 0.2], [0.0, 0.35]])
-    a = itofbf_cov(spec, [1.0], [0.4])
-    b = itofbf_cov(spec, [0.4], [1.0])
+    model = CovarianceModel(spec)
+    a = model.evaluate([1.0], [0.4])
+    b = model.evaluate([0.4], [1.0])
     assert np.max(np.abs(a - b.T)) < 1e-10 * np.max(np.abs(a))
 
 
@@ -154,8 +195,9 @@ def test_cov_isotropy_d2(rng):
     rot = np.array([[math.cos(th), -math.sin(th)],
                     [math.sin(th), math.cos(th)]])
     x, x2 = np.array([0.8, -0.3]), np.array([-0.2, 0.5])
-    a = itofbf_cov(spec, x, x2)[0, 0]
-    b = itofbf_cov(spec, rot @ x, rot @ x2)[0, 0]
+    model = CovarianceModel(spec)
+    a = model.evaluate(x, x2)[0, 0]
+    b = model.evaluate(rot @ x, rot @ x2)[0, 0]
     assert a == pytest.approx(b, rel=1e-6)
 
 
@@ -164,31 +206,33 @@ def test_variance_scaling_consistency_quadrature():
     spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 0.8, [[0.65]])
     r = 1.7
     direct = r ** (2 * 0.65) * brute_pair_integral(0.65, 0.65, r * 0.8)
-    assert itofbf_variance(spec, [r])[0, 0] == pytest.approx(direct,
-                                                             rel=1e-4)
+    assert CovarianceModel(spec).variance([r])[0, 0] == pytest.approx(
+        direct, rel=1e-4)
 
 
 def test_stationary_increments_exact_translation_invariance(rng):
-    spec = IsotropicGaussianSpec("IBTOFBF", 1, 1, 0.6, [[0.7]])
+    cov_fn = CovarianceModel(IsotropicGaussianSpec("IBTOFBF", 1, 1, 0.6,
+                                                   [[0.7]])).evaluate
     x = np.array([0.9])
     base = None
     for _ in range(1000):
         h = rng.standard_normal(1) * 3.0
-        v = (ibtofbf_cov(spec, x + h, x + h)[0, 0]
-             - 2.0 * ibtofbf_cov(spec, x + h, h)[0, 0]
-             + ibtofbf_cov(spec, h, h)[0, 0])
+        v = (cov_fn(x + h, x + h)[0, 0]
+             - 2.0 * cov_fn(x + h, h)[0, 0]
+             + cov_fn(h, h)[0, 0])
         base = v if base is None else base
         assert v == pytest.approx(base, rel=1e-6)
 
 
 def test_stationary_increments_quadrature_model(rng):
-    spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0, [[0.6]])
+    cov_fn = CovarianceModel(IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0,
+                                                   [[0.6]])).evaluate
     x = np.array([0.7])
     vals = []
     for h in (np.array([0.0]), np.array([1.3]), np.array([-2.1])):
-        vals.append(itofbf_cov(spec, x + h, x + h)[0, 0]
-                    - 2.0 * itofbf_cov(spec, x + h, h)[0, 0]
-                    + itofbf_cov(spec, h, h)[0, 0])
+        vals.append(cov_fn(x + h, x + h)[0, 0]
+                    - 2.0 * cov_fn(x + h, h)[0, 0]
+                    + cov_fn(h, h)[0, 0])
     assert np.ptp(vals) < 1e-6 * abs(vals[0])
 
 
@@ -251,22 +295,24 @@ def test_spectral_density_decay_slope():
 
 def test_cov_spectral_matches_kernel_single_point():
     spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0, [[0.6]])
-    a = itofbf_cov(spec, [1.0], [0.4])[0, 0]
-    b = itofbf_cov_spectral(spec, [1.0], [0.4], rtol=1e-7)[0, 0]
+    a = CovarianceModel(spec).evaluate([1.0], [0.4])[0, 0]
+    b = CovarianceModel(spec, "spectral_integral", rtol=1e-7).evaluate(
+        [1.0], [0.4])[0, 0]
     assert a == pytest.approx(b, rel=1e-6)
 
 
 def test_cov_spectral_matrix_case():
     spec = IsotropicGaussianSpec("ITOFBF", 1, 2, 1.0,
                                  [[0.7, 0.2], [0.0, 0.35]])
-    a = itofbf_cov(spec, [1.0], [0.4])
-    b = itofbf_cov_spectral(spec, [1.0], [0.4], rtol=1e-7)
+    a = CovarianceModel(spec).evaluate([1.0], [0.4])
+    b = CovarianceModel(spec, "spectral_integral", rtol=1e-7).evaluate(
+        [1.0], [0.4])
     assert np.max(np.abs(a - b)) < 1e-5 * np.max(np.abs(a))
 
 
 def test_cov_spectral_zero_points():
     spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0, [[0.6]])
-    out = itofbf_cov_spectral(spec, [0.0], [0.0])
+    out = CovarianceModel(spec, "spectral_integral").evaluate([0.0], [0.0])
     assert np.max(np.abs(out)) < 1e-8
 
 
@@ -276,8 +322,9 @@ def test_cov_spectral_zero_points():
 def test_ibtofbf_cov_symmetry_and_swap(rng):
     spec = IsotropicGaussianSpec("IBTOFBF", 1, 2, 1.0,
                                  [[0.7, 0.1], [0.0, 0.45]])
-    a = ibtofbf_cov(spec, [1.0], [0.3])
-    b = ibtofbf_cov(spec, [0.3], [1.0])
+    model = CovarianceModel(spec)
+    a = model.evaluate([1.0], [0.3])
+    b = model.evaluate([0.3], [1.0])
     assert np.max(np.abs(a - b.T)) < 1e-10 * np.max(np.abs(a))
 
 
@@ -292,23 +339,25 @@ def test_ibtofbf_gram_psd(rng):
 
 def test_ibtofbf_closed_vs_fourier_quadrature():
     spec = IsotropicGaussianSpec("IBTOFBF", 1, 1, 0.5, [[0.8]])
-    a = ibtofbf_cov(spec, [1.0], [0.25])[0, 0]
-    b = ibtofbf_cov_spectral_quadrature(spec, [1.0], [0.25], rtol=1e-9)[0, 0]
+    a = CovarianceModel(spec).evaluate([1.0], [0.25])[0, 0]
+    b = CovarianceModel(spec, "spectral_integral", rtol=1e-9).evaluate(
+        [1.0], [0.25])[0, 0]
     assert a == pytest.approx(b, rel=1e-7)
     # x' = 0 exercises the small-argument limit of the radial term
     spec7 = IsotropicGaussianSpec("IBTOFBF", 1, 1, 1.0, [[0.7]])
-    assert ibtofbf_cov(spec7, [1.0], [0.0])[0, 0] == pytest.approx(0.0,
-                                                                   abs=1e-12)
-    var_closed = ibtofbf_cov(spec7, [1.0], [1.0])[0, 0]
-    var_quad = ibtofbf_cov_spectral_quadrature(spec7, [1.0], [1.0],
-                                               rtol=1e-9)[0, 0]
+    closed = CovarianceModel(spec7)
+    assert closed.evaluate([1.0], [0.0])[0, 0] == pytest.approx(0.0,
+                                                                abs=1e-12)
+    var_closed = closed.evaluate([1.0], [1.0])[0, 0]
+    var_quad = CovarianceModel(spec7, "spectral_integral",
+                               rtol=1e-9).evaluate([1.0], [1.0])[0, 0]
     assert var_closed == pytest.approx(var_quad, rel=1e-7)
 
 
 def test_ibtofbf_closed_vs_kernel_quadrature_variance():
     spec = IsotropicGaussianSpec("IBTOFBF", 1, 1, 0.7, [[0.65]])
-    quad = ibtofbf_variance_kernel_quadrature(spec)
-    closed = ibtofbf_cov(spec, [1.0], [1.0])[0, 0]
+    quad = ibtofbf_variance_kernel_quadrature(0.65, 0.7)
+    closed = CovarianceModel(spec).evaluate([1.0], [1.0])[0, 0]
     assert closed == pytest.approx(quad, rel=1e-9)
 
 
@@ -332,11 +381,12 @@ def test_ibtofbf_spectral_density_shape_and_scaling(rng):
 
 def test_ibtofbf_increment_cov_matches_direct_difference():
     spec = IsotropicGaussianSpec("IBTOFBF", 1, 1, 0.5, [[0.7]])
+    cov_fn = CovarianceModel(spec).evaluate
     for k in (1.0, 3.0, 7.0):
-        direct = (ibtofbf_cov(spec, [k + 1.0], [1.0])[0, 0]
-                  - ibtofbf_cov(spec, [k], [1.0])[0, 0]
-                  - ibtofbf_cov(spec, [k + 1.0], [0.0])[0, 0]
-                  + ibtofbf_cov(spec, [k], [0.0])[0, 0])
+        direct = (cov_fn([k + 1.0], [1.0])[0, 0]
+                  - cov_fn([k], [1.0])[0, 0]
+                  - cov_fn([k + 1.0], [0.0])[0, 0]
+                  + cov_fn([k], [0.0])[0, 0])
         assert ibtofbf_increment_cov(spec, k)[0, 0] == pytest.approx(
             direct, rel=1e-8)
 
@@ -377,14 +427,14 @@ def test_tfbm_variogram_against_brute_quadrature():
 
     for h in (0.3, 0.5, 0.8):
         for t in (0.5, 2.0):
-            assert tfbm_variogram(h, 0.4, t) == pytest.approx(
+            assert tfbm_variogram_batch(h, 0.4, [t])[0] == pytest.approx(
                 brute(h, 0.4, t), rel=1e-9)
 
 
 def test_tfbm_small_scale_slope_is_2h():
     lags = np.geomspace(1e-3, 8e-3, 8)
     for h in (0.3, 0.5, 0.8):
-        v = np.array([tfbm_variogram(h, 0.1, t) for t in lags])
+        v = tfbm_variogram_batch(h, 0.1, lags)
         slope = np.polyfit(np.log(lags), np.log(v), 1)[0]
         assert slope == pytest.approx(2 * h, abs=0.05)
 
@@ -393,7 +443,7 @@ def test_evaluate_stacked_pairs_matches_each_pair():
     # one V batch for all pairs gives every pair's bits
     rng = np.random.default_rng(5)
     for model, d in [
-            (TFBMCovariance(0.6, 0.2), 1),
+            (tfbm_model(0.6, 0.2), 1),
             (CovarianceModel(IsotropicGaussianSpec("IBTOFBF", 2, 2, 0.5,
                                                    [[0.7, 0.1], [0.0, 0.6]])),
              2)]:
@@ -407,13 +457,13 @@ def test_evaluate_stacked_pairs_matches_each_pair():
 
 
 def test_tfbm_covariance_model_protocol():
-    model = TFBMCovariance(0.6, 0.2)
+    model = tfbm_model(0.6, 0.2)
     pts = np.linspace(0.0, 1.0, 9)[:, None]
     g = model.gram(pts)
     assert g.shape == (9, 9)
     assert g[0, 0] == 0.0
     assert model.evaluate([0.5], [0.5])[0, 0] == pytest.approx(
-        tfbm_variogram(0.6, 0.2, 0.5), rel=1e-12)
+        tfbm_variogram_batch(0.6, 0.2, [0.5])[0], rel=1e-12)
     assert tfbm_cov(0.6, 0.2, 0.4, 0.7) == pytest.approx(
         model.evaluate([0.4], [0.7])[0, 0])
 
@@ -430,17 +480,24 @@ def test_model_method_dispatch():
         CovarianceModel(it_spec, method="closed_form")
     spectral = CovarianceModel(bes_spec, method="spectral_integral")
     a = spectral.evaluate([1.0], [0.4])[0, 0]
-    b = ibtofbf_cov(bes_spec, [1.0], [0.4])[0, 0]
+    b = CovarianceModel(bes_spec).evaluate([1.0], [0.4])[0, 0]
     assert a == pytest.approx(b, rel=1e-6)
 
 
 def test_model_gram_psd_check_raises_on_garbage():
-    class Bad(TFBMCovariance):
-        def evaluate(self, x, x2):
-            return np.array([[-1.0]])
+    # V(rho) = rho^3 is no variogram: at sites 1 and 2 the Gram is
+    # [[1, 4], [4, 8]], whose determinant is -8
+    class Cubic(CovarianceModel):
+        def radial_variance(self, radii):
+            return (radii ** 3)[:, None, None]
 
-    model = CovarianceModel.__new__(CovarianceModel)
-    # direct gram on a correct model never raises
+    model = Cubic(IsotropicGaussianSpec("TFBM_LINE", 1, 1, 0.5, [[0.6]]))
+    pts = np.array([[1.0], [2.0]])
+    with pytest.raises(CovarianceError, match="gram matrix not PSD"):
+        model.gram(pts, check_psd=True)
+    assert np.array_equal(model.gram(pts, check_psd=False),
+                          [[1.0, 4.0], [4.0, 8.0]])
+    # a correct model's Gram passes the check
     good = CovarianceModel(IsotropicGaussianSpec("IBTOFBF", 1, 1, 1.0,
                                                  [[0.7]]))
     good.gram(np.array([[0.5], [1.0], [2.0]]))
@@ -531,7 +588,7 @@ def test_gram_matches_per_pair_evaluate_spectral_integral():
 
 
 def test_gram_matches_per_pair_evaluate_tfbm():
-    model = TFBMCovariance(0.65, 0.4)
+    model = tfbm_model(0.65, 0.4)
     pts = np.linspace(-0.5, 1.5, 17)[:, None]
     g = model.gram(pts)
     ref = np.array([[tfbm_cov(0.65, 0.4, a, b) for b in pts[:, 0]]

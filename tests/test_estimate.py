@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from trfield.aniso import EHomogeneousFn
-from trfield.covariance import (IsotropicGaussianSpec, TFBMCovariance,
-                                ibtofbf_increment_cov, itofbf_variance,
-                                tfbm_variogram)
+from stat_helpers import tfbm_model
+
+from trfield.covariance import (CovarianceModel, IsotropicGaussianSpec,
+                                ibtofbf_increment_cov)
 from trfield.estimate import (EstimateError, EstimateReport, box_dimension,
                               directional_holder, fit_loglog,
                               scaling_law_check, semi_lrd_profile)
@@ -38,8 +39,9 @@ def test_holder_analytic_mode_matches_targets():
     dt = 1.0 / 1023
     lags = np.arange(2, 17) * dt
     for h in (0.3, 0.5, 0.8):
+        model = tfbm_model(h, 0.1)
         rep = directional_holder(
-            variogram=lambda t: tfbm_variogram(h, 0.1, t), lags=lags,
+            variogram=lambda t: model.variance([t])[0, 0], lags=lags,
             target=h, tolerance=0.05)
         assert rep.passed, rep
         assert rep.extras["mode"] == "analytic"
@@ -47,10 +49,12 @@ def test_holder_analytic_mode_matches_targets():
 
 def test_holder_analytic_mode_deterministic():
     lags = np.arange(2, 17) / 1023
-    a = directional_holder(variogram=lambda t: tfbm_variogram(0.6, 0.1, t),
-                           lags=lags)
-    b = directional_holder(variogram=lambda t: tfbm_variogram(0.6, 0.1, t),
-                           lags=lags)
+    a = directional_holder(
+        variogram=lambda t: tfbm_model(0.6, 0.1).variance([t])[0, 0],
+        lags=lags)
+    b = directional_holder(
+        variogram=lambda t: tfbm_model(0.6, 0.1).variance([t])[0, 0],
+        lags=lags)
     assert a.estimate == b.estimate          # bit-exact recomputation
 
 
@@ -59,9 +63,10 @@ def test_holder_isotropic_variance_slope_off_half():
     dt = 1.0 / 1023
     lags = np.arange(2, 17) * dt
     for h in (0.3, 0.8):
-        spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 0.1, [[h]])
+        model = CovarianceModel(IsotropicGaussianSpec("ITOFBF", 1, 1, 0.1,
+                                                      [[h]]))
         rep = directional_holder(
-            variogram=lambda t: itofbf_variance(spec, [t])[0, 0], lags=lags,
+            variogram=lambda t: model.variance([t])[0, 0], lags=lags,
             target=h, tolerance=0.05)
         assert rep.passed, rep
 
@@ -72,15 +77,16 @@ def test_holder_degenerate_at_half_two_sided():
     # one-sided kernel there)
     dt = 1.0 / 1023
     lags = np.arange(2, 17) * dt
-    spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 0.1, [[0.5]])
+    model = CovarianceModel(IsotropicGaussianSpec("ITOFBF", 1, 1, 0.1,
+                                                  [[0.5]]))
     rep = directional_holder(
-        variogram=lambda t: itofbf_variance(spec, [t])[0, 0], lags=lags)
+        variogram=lambda t: model.variance([t])[0, 0], lags=lags)
     assert rep.estimate == pytest.approx(1.0, abs=0.02)
 
 
 def test_holder_monte_carlo_mode():
     grid = GridSpec([(0.0, 1.0)], [513])
-    model = TFBMCovariance(0.6, 0.1)
+    model = tfbm_model(0.6, 0.1)
     # 400 paths: the estimate's standard deviation is 0.027 (0.075 at 50)
     reals = gaussian_exact_many(model, grid, 31, 400)
     rep = directional_holder(realizations=reals, direction=[1.0],
@@ -93,12 +99,13 @@ def test_holder_isotropy_direction_equivariance():
     # isotropic analytic variogram: identical estimates in any direction
     dt = 1.0 / 255
     lags = np.arange(2, 17) * dt
-    spec = IsotropicGaussianSpec("ITOFBF", 2, 1, 0.5, [[0.7]])
+    model = CovarianceModel(IsotropicGaussianSpec("ITOFBF", 2, 1, 0.5,
+                                                  [[0.7]]))
     reps = []
     for direction in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
         r = np.asarray(direction) / np.linalg.norm(direction)
         reps.append(directional_holder(
-            variogram=lambda t: itofbf_variance(spec, t * r)[0, 0],
+            variogram=lambda t: model.variance(t * r)[0, 0],
             lags=lags))
     assert reps[0].estimate == pytest.approx(reps[1].estimate, abs=1e-9)
     assert reps[0].estimate == pytest.approx(reps[2].estimate, abs=1e-9)
@@ -187,7 +194,7 @@ def test_box_dimension_affine_surface_d2():
 
 def test_box_dimension_rough_path():
     grid = GridSpec([(0.0, 1.0)], [4097])
-    model = TFBMCovariance(0.5, 0.1)
+    model = tfbm_model(0.5, 0.1)
     reals = gaussian_exact_many(model, grid, 5, 8)
     rep = box_dimension(reals, scales=[2.0 ** -j for j in range(2, 8)],
                         target=1.5, tolerance=0.1)
@@ -289,7 +296,7 @@ def test_scaling_law_monte_carlo_branch():
 
 def test_variogram_estimator_sqrtn_consistency():
     grid = GridSpec([(0.0, 1.0)], [257])
-    model = TFBMCovariance(0.6, 0.1)
+    model = tfbm_model(0.6, 0.1)
     batches = {25: [], 50: []}
     reals = gaussian_exact_many(model, grid, 77, 24 * 50 + 24 * 25)
     at = 0

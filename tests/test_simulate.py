@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from trfield.aniso import EHomogeneousFn
+from stat_helpers import tfbm_model
+
 from trfield.covariance import (CovarianceModel, IsotropicGaussianSpec,
-                                TFBMCovariance, itofbf_cov, tfbm_cov)
+                                tfbm_variogram_batch)
 from trfield.kernels import FieldSpec, MeasureSpec
 from trfield import _fast, simulate, specfun
 from trfield.quadrature import adaptive_gk
@@ -181,7 +183,7 @@ def test_gaussian_exact_origin_pinned_and_cov(rng):
 def test_gaussian_exact_brownian_like_increments():
     # one-sided field at h = 1/2, light tempering: nearly uncorrelated
     # unit-lag increments
-    model = TFBMCovariance(0.5, 1e-4)
+    model = tfbm_model(0.5, 1e-4)
     grid = GridSpec([(0.0, 8.0)], [9])
     reals = gaussian_exact_many(model, grid, 4, 8000)
     vals = np.stack([r.values[:, 0] for r in reals])
@@ -198,7 +200,7 @@ def test_gaussian_exact_site_cap():
         gaussian_exact(model, GridSpec([(0.0, 1.0)] * 2, [129, 129]), 1)
     # a line through the origin takes the circulant route at any size
     grid = GridSpec([(-256.0, 768.0)], [2 ** 20 + 1])
-    real = gaussian_exact(TFBMCovariance(0.7, 0.5), grid, 1)
+    real = gaussian_exact(tfbm_model(0.7, 0.5), grid, 1)
     assert real.provenance["algorithm"] == "circulant"
     # the telescoped eigenvalue at frequency 0 leaves nothing to clip
     assert real.provenance["min_eigenvalue_ratio"] >= 0.0
@@ -209,7 +211,7 @@ def test_gaussian_exact_site_cap():
 
 
 def test_gaussian_exact_deterministic():
-    model = TFBMCovariance(0.6, 0.2)
+    model = tfbm_model(0.6, 0.2)
     grid = GridSpec([(0.0, 1.0)], [33])
     a = gaussian_exact(model, grid, 99)
     b = gaussian_exact(model, grid, 99)
@@ -232,11 +234,11 @@ def test_gaussian_exact_records_jitter():
         def gram(sites, check_psd=True):
             return np.ones((len(sites), len(sites)))
 
-    # the stub has no radial_variance: the Gram route
-    reals = gaussian_exact_many(RankOne(), GridSpec([(0.0, 1.0)], [2]), 5, 2)
+    # the origin is no site: the Gram route
+    reals = gaussian_exact_many(RankOne(), GridSpec([(0.5, 1.5)], [2]), 5, 2)
     assert [r.provenance["algorithm"] for r in reals] == ["cholesky"] * 2
     assert [r.provenance["jitter"] for r in reals] == [1e-14, 1e-14]
-    model = TFBMCovariance(0.6, 0.2)
+    model = tfbm_model(0.6, 0.2)
     real = gaussian_exact(model, GridSpec([(0.0, 1.0)], [9]), 5)
     prov = real.provenance
     assert prov["algorithm"] == "circulant"
@@ -264,7 +266,7 @@ def _unit_noise_draws(monkeypatch, sqrt_eig, n_sites, origin):
 
 
 @pytest.mark.parametrize("model", [
-    TFBMCovariance(0.7, 0.5),
+    tfbm_model(0.7, 0.5),
     CovarianceModel(IsotropicGaussianSpec("IBTOFBF", 1, 1, 0.5, [[0.71]])),
     CovarianceModel(IsotropicGaussianSpec("ITOFBF", 1, 1, 0.5, [[0.3]])),
 ], ids=["tfbm", "ibtofbf", "itofbf"])
@@ -288,7 +290,7 @@ def test_circulant_clips_eigenvalues_within_tolerance(monkeypatch):
     # V rebuilt from chosen increment covariances gamma: TFBM's, less a
     # cosine at the interior frequency 3 of the 16-point circulant, which
     # lowers that eigenvalue pair alone to -5e-9 of the largest
-    model = TFBMCovariance(0.7, 0.5)
+    model = tfbm_model(0.7, 0.5)
     grid = GridSpec([(-0.25, 0.75)], [9])
     h, m, j = grid.spacings[0], 8, 3
     lags = np.arange(m + 1)
@@ -302,8 +304,8 @@ def test_circulant_clips_eigenvalues_within_tolerance(monkeypatch):
     for k in range(1, m + 1):
         v[k + 1] = 2.0 * (gamma[k] + v[k]) - v[k - 1]
     monkeypatch.setattr(
-        TFBMCovariance, "radial_variance",
-        lambda self, r: v[np.rint(r / h).astype(int)][:, None, None])
+        model, "radial_variance",
+        lambda r: v[np.rint(r / h).astype(int)][:, None, None])
     real = gaussian_exact(model, grid, 3)
     prov = real.provenance
     assert prov["algorithm"] == "circulant"
@@ -322,15 +324,15 @@ def test_circulant_clips_eigenvalues_within_tolerance(monkeypatch):
 
 def test_circulant_indefinite_embedding_past_the_cap_raises(monkeypatch):
     # V(r) = r^3 has increments gamma(k) = 3 k h^3: no embedding is PSD
-    monkeypatch.setattr(TFBMCovariance, "radial_variance",
-                        lambda self, r: (r ** 3)[:, None, None])
+    model = tfbm_model(0.6, 0.2)
+    monkeypatch.setattr(model, "radial_variance",
+                        lambda r: (r ** 3)[:, None, None])
     grid = GridSpec([(0.0, 1.0)], [20000])
     with pytest.raises(SimulationToleranceError,
                        match="circulant embedding.*-1e-08.*length 40000"):
-        gaussian_exact(TFBMCovariance(0.6, 0.2), grid, 1)
+        gaussian_exact(model, grid, 1)
     # under the cap the Gram route takes over
-    real = gaussian_exact(TFBMCovariance(0.6, 0.2),
-                          GridSpec([(0.0, 1.0)], [2]), 1)
+    real = gaussian_exact(model, GridSpec([(0.0, 1.0)], [2]), 1)
     assert real.provenance["algorithm"] == "cholesky"
     assert real.provenance["min_eigenvalue_ratio"] < -1e-8
 
@@ -379,7 +381,7 @@ def test_spectral_synthesis_variance_vs_discrete_truth():
     # empirical vs the discrete (Riemann) truth: pure Monte-Carlo error
     assert abs(emp - var_riemann) < 3.0 * se
     # reported discretization bias: discrete truth vs analytic variance
-    th = itofbf_cov(spec, [1.0], [1.0])[0, 0]
+    th = CovarianceModel(spec).variance([1.0])[0, 0]
     bias = abs(var_riemann - th)
     assert abs(emp - th) < 3.0 * se + bias
 
@@ -419,7 +421,8 @@ def test_spectral_synthesis_h_flavor_field_spec():
 
 def test_ma_synthesis_gaussian_covariance_oracle():
     fs = make_ma_spec(lam=1.0, hurst=0.6)
-    spec = IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0, [[0.6]])
+    model = CovarianceModel(IsotropicGaussianSpec("ITOFBF", 1, 1, 1.0,
+                                                  [[0.6]]))
     grid = GridSpec([(0.0, 1.0)], [5])
     igrid = GridSpec([(-60.0, 61.0)], [8192])
     n_draws = 3000
@@ -428,9 +431,9 @@ def test_ma_synthesis_gaussian_covariance_oracle():
     sites = grid.sites()
     for (i, j) in [(1, 3), (2, 4), (4, 4)]:
         emp = float(np.mean(vals[:, i] * vals[:, j]))
-        th = itofbf_cov(spec, sites[i], sites[j])[0, 0]
-        vi = itofbf_cov(spec, sites[i], sites[i])[0, 0]
-        vj = itofbf_cov(spec, sites[j], sites[j])[0, 0]
+        th = model.evaluate(sites[i], sites[j])[0, 0]
+        vi = model.evaluate(sites[i], sites[i])[0, 0]
+        vj = model.evaluate(sites[j], sites[j])[0, 0]
         se = math.sqrt((vi * vj + th * th) / n_draws)
         assert abs(emp - th) < 3.0 * se + 0.02 * math.sqrt(vi * vj)
 
@@ -499,8 +502,7 @@ def test_tfsm_alpha2_matches_closed_form_variance():
     emp = vals[:, 0].var()
     # alpha = 2 noise has variance 2 dy per cell under the stable scale
     # convention, i.e. twice the Gaussian closed form
-    from trfield.covariance import tfbm_variogram
-    th = 2.0 * tfbm_variogram(0.7, 0.3, 1.0)
+    th = 2.0 * tfbm_variogram_batch(0.7, 0.3, [1.0])[0]
     se = th * math.sqrt(2.0 / n_draws)
     assert abs(emp - th) < 3.0 * se + 0.02 * th
 
@@ -872,7 +874,7 @@ def test_exact_draw_does_not_depend_on_n_draws():
 
 def test_circulant_draw_does_not_depend_on_n_draws(monkeypatch):
     # two draws per FFT block: five draws cross two block boundaries
-    model, grid = TFBMCovariance(0.7, 0.5), GridSpec([(-0.25, 0.75)], [33])
+    model, grid = tfbm_model(0.7, 0.5), GridSpec([(-0.25, 0.75)], [33])
     one = gaussian_exact_many(model, grid, 2, 1)
     monkeypatch.setattr(simulate, "_NOISE_BLOCK_BYTES", 2 * 32 * 32)
     five = gaussian_exact_many(model, grid, 2, 5)
