@@ -6,9 +6,10 @@ matrix-order K_N of ``matfun``; orders from 3/2 on recur upward from K_mu
 and K_{mu+1}, |mu| <= 1/2), ``hyp2f1_batch`` (Gauss 2F1 for z <= 0: the
 Pfaff series on [-1, 0], the 1/(1-z) connection formula below, both at
 w <= 1/2 and summed in blocks of ``_HYP_BLOCK`` terms), ``cms_batch``
-(Chambers-Mallows-Stuck variates; at alpha = 2 the closed form 2 sin(theta)
-sqrt(w)), ``ma_matrix_1d`` and ``tfsm_matrix`` (moving-average kernels,
-through the one tempered power ``_tempered_power``) and ``box_count``
+(Chambers-Mallows-Stuck variates from tangents of half angles; at alpha = 2
+the closed form 2 sin(theta) sqrt(w)), ``ma_matrix_1d`` and
+``tfsm_matrix`` (moving-average kernels, through the one tempered power
+``_tempered_power``) and ``box_count``
 evaluate their recurrences with array masks.  The kernel matrices depend
 on the lag x - y only: when the sites and the nodes are arithmetic
 progressions with commensurate steps, ``_lag_kernel`` evaluates the
@@ -226,19 +227,70 @@ def hyp2f1_batch(a, b, c, z):
 # ---------------------------------------------------------------------------
 # Chambers-Mallows-Stuck transform for symmetric alpha-stable variates.
 
-def cms_batch(theta, w, alpha):
-    theta = np.asarray(theta, dtype=np.float64)
+_PI_4_LO = 3.061616997868383e-17   # pi/4 less its double
+
+
+def cms_batch(theta, w, alpha, work=None):
+    """Unit SaS(alpha) variates sin(a t) cos(t)^{-1/a} (cos((1-a) t) /
+    w)^{(1-a)/a} of angles t in (-pi/2, pi/2) and exponentials w (alpha
+    = 1: tan t; alpha = 2: 2 sin(t) sqrt(w)).
+
+    Each sine and cosine is taken as sin x = 2v / (1 + v^2), v = tan(x/2):
+    sin(a t) directly, cos((1-a) t) as sin(pi/2 + (1-a) t) and cos t as
+    sin(pi/2 - |t|), with pi/2 - |t| taken in two parts, exactly, so that
+    cos t keeps its relative accuracy as |t| -> pi/2.  The factors 2 of
+    sin(a t) and of the cosines' powers cancel.  With ``work``, a float64
+    array of shape (2,) + theta.shape, ``theta`` and ``w`` must be float64
+    arrays of one shape: all three are overwritten, and the variates come
+    back in theta's or w's memory.  Without it nothing is overwritten.
+    """
+    if work is None:
+        theta = np.array(theta, dtype=np.float64)
+        w = np.array(w, dtype=np.float64)
     alpha = float(alpha)
     if alpha == 1.0:
-        return np.tan(theta)
+        return np.tan(theta, out=theta)
     if alpha == 2.0:
-        # sin(2t) cos(t)^{-1/2} (cos(t)/w)^{-1/2} = 2 sin(t) sqrt(w)
-        return 2.0 * np.sin(theta) * np.sqrt(w)
-    # sin(at) cos(t)^{-1/a} (cos((1-a)t)/w)^{(1-a)/a}, both powers in one exp
-    inv_a = 1.0 / alpha
-    out = (1.0 - alpha) * inv_a * np.log(np.cos((1.0 - alpha) * theta) / w)
-    out -= inv_a * np.log(np.cos(theta))
-    return np.sin(alpha * theta) * np.exp(out)
+        v = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
+        np.sqrt(w, out=w)
+        w *= v
+        w *= 4.0
+        v *= v
+        v += 1.0
+        w /= v
+        return w
+    v, den = np.empty((2,) + theta.shape) if work is None else work
+    # log(cos((1-a) t) / (2 w)) (1-a) / a
+    np.multiply(theta, 0.5 * (1.0 - alpha), out=v)
+    v += math.pi / 4
+    np.tan(v, out=v)
+    np.multiply(v, v, out=den)
+    den += 1.0
+    den *= w
+    v /= den
+    np.log(v, out=v)
+    expo = np.multiply(v, (1.0 - alpha) / alpha, out=w)
+    # less log(cos(t) / 2) / a
+    np.abs(theta, out=v)
+    v *= -0.5
+    v += math.pi / 4
+    v += _PI_4_LO
+    np.tan(v, out=v)
+    np.multiply(v, v, out=den)
+    den += 1.0
+    v /= den
+    np.log(v, out=v)
+    v *= 1.0 / alpha
+    expo -= v
+    np.exp(expo, out=expo)
+    # times sin(a t) / 2
+    theta *= 0.5 * alpha
+    np.tan(theta, out=theta)
+    np.multiply(theta, theta, out=den)
+    den += 1.0
+    theta /= den
+    theta *= expo
+    return theta
 
 
 # ---------------------------------------------------------------------------

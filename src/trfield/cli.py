@@ -300,14 +300,30 @@ def _cmd_simulate(config, run, args):
 
 def _cmd_estimate(config, run, args):
     estimator = _require(config, "estimator")
+
+    def number(key):
+        value = config.get(key)
+        return None if value is None else _number(value, f"estimate: {key}")
+
+    def numbers(key, default):
+        value = config.get(key, default)
+        if value is None:
+            return None
+        arr = _numbers(value, f"estimate: {key}")
+        if arr.ndim != 1:
+            raise SchemaError(f"estimate: {key} must be a list of numbers, "
+                              f"got {value!r}")
+        return arr
+
+    target, tolerance = number("target"), number("tolerance")
     if estimator == "directional_holder":
         if "realizations" in config:
+            direction = numbers("direction", [1.0])
             reals = [Realization.load(p) for p in _paths(
                 config["realizations"], "estimate: realizations")]
             rep = directional_holder(
-                realizations=reals, direction=config.get("direction", [1.0]),
-                target=config.get("target"),
-                tolerance=config.get("tolerance"))
+                realizations=reals, direction=direction, target=target,
+                tolerance=tolerance)
         else:
             spec_doc = _require(config, "spec")
             if isinstance(spec_doc, dict):  # the TFBM_LINE of h and lambda
@@ -316,21 +332,22 @@ def _cmd_estimate(config, run, args):
             lags = _numbers(_require(config, "lags"), "estimate: lags")
             rep = directional_holder(
                 variogram=lambda t: model.variance([t])[0, 0], lags=lags,
-                target=config.get("target"), tolerance=config.get("tolerance"))
+                target=target, tolerance=tolerance)
     elif estimator == "box_dimension":
+        scales = numbers("scales", None)
         reals = [Realization.load(p) for p in _paths(
             _require(config, "realizations"), "estimate: realizations")]
-        rep = box_dimension(reals, scales=config.get("scales"),
-                            target=config.get("target"),
-                            tolerance=config.get("tolerance"))
+        rep = box_dimension(reals, scales=scales, target=target,
+                            tolerance=tolerance)
     elif estimator == "semi_lrd":
+        small = numbers("lags_small", list(range(1, 9)))
+        large = numbers("lags_large", list(range(30, 61)))
+        lambda_target = number("lambda_target")
+        slope_tolerance = number("slope_tolerance")
         spec = IsotropicGaussianSpec.from_json(_require(config, "spec"))
         rep = semi_lrd_profile(
-            lambda k: ibtofbf_increment_cov(spec, k)[0, 0],
-            np.asarray(config.get("lags_small", list(range(1, 9)))),
-            np.asarray(config.get("lags_large", list(range(30, 61)))),
-            lambda_target=config.get("lambda_target"),
-            slope_tolerance=config.get("slope_tolerance"))
+            lambda k: ibtofbf_increment_cov(spec, k)[0, 0], small, large,
+            lambda_target=lambda_target, slope_tolerance=slope_tolerance)
     else:
         raise SchemaError(f"estimate: unknown estimator '{estimator}'")
     run.write_json("estimate_report.json", rep.to_json())

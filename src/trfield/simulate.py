@@ -9,11 +9,14 @@ increments, drawn by circulant embedding with one batched FFT per block
 of draws.  Other exact draws, moving-average and stable synthesis
 multiply one dense real matrix (Cholesky factor or kernel matrix) by
 per-draw noise columns; one engine, ``_draw_products``, runs them all.
-It builds a kernel matrix in spans of integration nodes (columns) and
-adds one GEMM per span and block of draws to the sums.  Spectral
-synthesis builds no matrix: both grids are arithmetic progressions, so
-its frequency sum is a chirp-z transform on the line and a chain of small
-per-axis phase matrices on product grids.
+It builds a kernel matrix in spans of integration nodes (columns), draws
+the noise of each span for a block of draws with the span's columns
+(``_CellNoise``: Gaussian or SaS cell noise by the Chambers-Mallows-Stuck
+transform, or standard normals), and adds one GEMM per span and block to
+the sums, so neither the kernel nor the (draws x nodes) noise is held
+whole.  Spectral synthesis builds no matrix: both grids are arithmetic
+progressions, so its frequency sum is a chirp-z transform on the line
+and a chain of small per-axis phase matrices on product grids.
 
 Realizations persist in a small binary container: magic ``TRF1``, a
 little-endian uint32 header length, a UTF-8 JSON header, then the
@@ -43,8 +46,9 @@ __all__ = [
 EXACT_SITE_CAP = 16384              # sites x n of the Gram route
 _EMBED_CLIP = 1e-8                  # clip eigenvalues >= -1e-8 max
 _MAGIC = b"TRF1"
-_NOISE_BLOCK_BYTES = 32 << 20       # noise (spectral: work) per block
+_NOISE_BLOCK_BYTES = 32 << 20       # spectral and circulant work per block
 _KERNEL_BLOCK_BYTES = 2 << 20       # kernel columns (nodes) per span
+_NOISE_SPAN_BYTES = 2 << 20         # noise and product per span and block
 
 
 class SimulationError(RuntimeError):
@@ -222,18 +226,66 @@ def philox_stream(seed, stream_id):
 
 def sas_sample(alpha, scale, seed, count, stream_id=0):
     """Symmetric alpha-stable variates by the Chambers-Mallows-Stuck
-    transform; chf exp(-|scale u|^alpha) (alpha = 2 gives N(0, 2 scale^2))."""
+    transform; chf exp(-|scale u|^alpha) (alpha = 2 gives N(0, 2 scale^2)).
+    They are the cell noise of a Riemann-sum draw read as one span."""
     if not 0 < alpha <= 2:
         raise SimulationError("alpha must lie in (0, 2]")
     if scale <= 0:
         raise SimulationError("scale must be positive")
-    return scale * _cms_noise(philox_stream(seed, stream_id), alpha, count)
+    noise = _CellNoise(alpha, scale)
+    gens = [noise.streams(seed, stream_id, count, 1)]
+    return noise.fill(gens, count, np.empty(noise.arrays * count))[0].copy()
 
 
-def _cms_noise(gen, alpha, count):
-    """Unit-scale SaS(alpha) variates from ``gen`` (CMS transform)."""
-    theta = (gen.random(count) - 0.5) * math.pi
-    return _fast.cms_batch(theta, gen.standard_exponential(count), alpha)
+class _CellNoise:
+    """Per-draw noise of the draw engine, read in spans of values.
+
+    With ``alpha`` None: standard normals, read in order from stream j.
+    Else SaS(alpha) variates of scale ``scale`` (alpha = 2: N(0, 2
+    scale^2)), the CMS transform (``_fast.cms_batch``) of theta = (u -
+    1/2) pi and w: draw j's ``count`` uniforms u are outputs 0 ..
+    count - 1 of stream j, and its ``count`` exponentials w follow them.
+    A draw read in more than one span keeps two generators on stream j,
+    one at output 0 for the uniforms and one at output ``count`` for the
+    exponentials, so each span reads the values that one call reads.
+    """
+
+    def __init__(self, alpha=None, scale=1.0):
+        self.alpha, self.scale = alpha, scale
+        # doubles held per value: normals; or u, w and the CMS work
+        self.arrays = 1 if alpha is None else 4
+
+    def streams(self, seed, j, count, n_spans):
+        """Draw j's generators (of uniforms, of exponentials): one for
+        normals and for a draw read in one span."""
+        gen = philox_stream(seed, j)
+        if self.alpha is None or n_spans == 1:
+            return gen, gen
+        bits = np.random.Philox(key=np.array([seed, j], dtype=np.uint64))
+        bits.advance(count // 4)            # four outputs per counter
+        bits.random_raw(count % 4)
+        return gen, np.random.Generator(bits)
+
+    def fill(self, gens, width, buf):
+        """(len(gens), width): the next ``width`` values of each draw, from
+        its ``streams``, in ``buf`` (``arrays`` x len(gens) x width doubles
+        or more)."""
+        size = len(gens) * width
+        x = buf[:size].reshape(len(gens), width)
+        if self.alpha is None:
+            for row, (gen, _) in zip(x, gens):
+                gen.standard_normal(out=row)
+            return x
+        w = buf[size:2 * size].reshape(x.shape)
+        for row, w_row, (uni, expo) in zip(x, w, gens):
+            uni.random(out=row)
+            expo.standard_exponential(out=w_row)
+        x -= 0.5
+        x *= math.pi
+        x = _fast.cms_batch(x, w, self.alpha,
+                            buf[2 * size:4 * size].reshape((2,) + x.shape))
+        x *= self.scale
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +452,7 @@ def gaussian_exact_many(cov_model, grid, seed, n_draws):
     gram = cov_model.gram(grid.sites(), check_psd=False)
     chol, jitter = _factor_gram(gram, grid.n_sites)
     rows = len(chol)
-    vals = _draw_products(chol, rows, rows,
-                          lambda gen: gen.standard_normal(rows), seed, n_draws)
+    vals = _draw_products(chol, rows, rows, _CellNoise(), seed, n_draws)
     meta.update(algorithm="cholesky", jitter=jitter)
     return [Realization(grid, vals[:, j, 0].reshape(grid.n_sites, n),
                         {**meta, "draw": j}) for j in range(n_draws)]
@@ -599,46 +650,54 @@ def _spectral_density_for(spec):
 
 # ---------------------------------------------------------------------------
 
-def _measure_noise(measure, dvol, m_nodes):
-    """Per-draw noise increments per cell of the first measure coordinate:
-    Gaussian N(0, dvol) (the alpha = 2 CMS transform over sqrt(2)) or SaS
-    with scale dvol^{1/alpha}."""
+def _measure_noise(measure, dvol):
+    """Noise increments per cell of the first measure coordinate: Gaussian
+    N(0, dvol) (the alpha = 2 CMS transform over sqrt(2)) or SaS with scale
+    dvol^{1/alpha}."""
     if measure.variant == "gaussian":
-        return lambda gen: (_cms_noise(gen, 2.0, m_nodes) * math.sqrt(dvol)
-                            / math.sqrt(2.0))
+        return _CellNoise(2.0, math.sqrt(dvol / 2.0))
     alpha = measure.alphas[0]
-    return lambda gen: _cms_noise(gen, alpha, m_nodes) * dvol ** (1.0 / alpha)
+    return _CellNoise(alpha, dvol ** (1.0 / alpha))
 
 
-def _draw_products(kernel, rows, m, draw_noise, seed, n_draws, k=1):
-    """(rows, n_draws, k) products G @ draw_noise(philox_stream(seed, j)).
+def _draw_products(kernel, rows, m, noise, seed, n_draws, k=1):
+    """(rows, n_draws, k) products G @ W_j, W_j draw j's (m, k) noise
+    columns (``_CellNoise`` of stream j, node-major: m k values).
 
     ``kernel`` is the (rows, m) matrix G, held whole (one span), or a
     builder ``kernel(c0, c1)`` of its columns c0:c1, the integration nodes
-    c0:c1, called over even spans of at most ``_KERNEL_BLOCK_BYTES`` once
-    per block of draws (so once per call when the noise fits one block);
-    G is never held whole.  ``draw_noise`` returns draw j's (m, k) noise
-    columns, drawn one draw at a time (whole-block temporaries leave the
-    cache) into a ``_NOISE_BLOCK_BYTES`` matrix W; one GEMM per span adds
-    G[:, c0:c1] @ W[c0:c1] to the block's sums.
+    c0:c1, called over even spans of nodes, each within
+    ``_KERNEL_BLOCK_BYTES`` of kernel and ``_NOISE_SPAN_BYTES`` of one
+    draw's noise with its CMS work; G is never held whole, and a builder
+    whose nodes fit one span is called once.  Draws go in blocks whose
+    noise and product per span stay within ``_NOISE_SPAN_BYTES``: for
+    each span the noise of the block's draws is drawn into one buffer and
+    one GEMM adds G[:, c0:c1] @ W[c0:c1] to their sums, so no (draws x
+    nodes) noise is held.  Spans are built once per block of draws, so
+    once per call when one block holds all the draws.
     """
-    block = max(1, min(n_draws, _NOISE_BLOCK_BYTES // (8 * m * k)))
-    n_spans = -(-m // max(1, _KERNEL_BLOCK_BYTES // (8 * rows))) \
-        if callable(kernel) else 1
+    cap = _NOISE_SPAN_BYTES // (8 * k)
+    width = m
+    if callable(kernel):
+        width = max(1, min(_KERNEL_BLOCK_BYTES // (8 * rows),
+                           cap // noise.arrays))
+        if width >= m:
+            kernel = kernel(0, m)
+    n_spans = -(-m // width)
     step = -(-m // n_spans)
-    dm = np.empty((block, k, m))
+    block = max(1, min(n_draws, cap // max(noise.arrays * step, rows)))
+    buf = np.empty(noise.arrays * block * step * k)
     out = np.empty((rows, n_draws, k))
     for start in range(0, n_draws, block):
         take = min(block, n_draws - start)
-        for i in range(take):
-            noise = draw_noise(philox_stream(seed, start + i))
-            dm[i] = np.reshape(noise, (m, k)).T
-        w = dm[:take].reshape(take * k, m)
+        gens = [noise.streams(seed, start + i, m * k, n_spans)
+                for i in range(take)]
         sums = out[:, start:start + take].reshape(rows, take * k)
         for c0 in range(0, m, step):  # each span freed before the next
             c1 = min(c0 + step, m)
-            part = (kernel(c0, c1) if callable(kernel) else kernel) \
-                @ w[:, c0:c1].T
+            w = noise.fill(gens, (c1 - c0) * k, buf).reshape(
+                take, c1 - c0, k).transpose(0, 2, 1).reshape(take * k, c1 - c0)
+            part = (kernel(c0, c1) if callable(kernel) else kernel) @ w.T
             if c0:
                 sums += part
             else:
@@ -760,7 +819,7 @@ def ma_synthesis(spec, grid, integration_grid, seed, n_draws=1,
     sums = _draw_products(
         lambda c0, c1: _ma_kernel_matrix(spec, sites, nodes[c0:c1]),
         sites.shape[0], m,
-        _measure_noise(spec.measure, integration_grid.cell_volume, m),
+        _measure_noise(spec.measure, integration_grid.cell_volume),
         seed, n_draws)
     meta = {"method": "ma_synthesis", "seed": int(seed),
             "spec": spec.to_json(), "grid": grid.to_json(),
@@ -825,7 +884,7 @@ def tfsm_synthesis(hurst, alpha, lam, times, integration_grid, seed,
     times = np.atleast_1d(times)
     nodes = integration_grid.midpoints()[:, 0]
     noise = _measure_noise(MeasureSpec("sas", alphas=[alpha]),
-                           integration_grid.cell_volume, nodes.shape[0])
+                           integration_grid.cell_volume)
     return _draw_products(
         lambda c0, c1: _fast.tfsm_matrix(times, nodes[c0:c1], expo, lam),
         times.shape[0], nodes.shape[0], noise, seed, n_draws)[:, :, 0].T

@@ -8,7 +8,7 @@ import pytest
 from trfield.cli import (EXIT_EXISTENCE, EXIT_IO, EXIT_OK, EXIT_SCHEMA,
                          EXIT_TOLERANCE, main)
 from trfield.covariance import CovarianceModel, IsotropicGaussianSpec
-from trfield.simulate import Realization
+from trfield.simulate import GridSpec, Realization
 
 IB_SPEC = {"variant": "IBTOFBF", "d": 1, "n": 1, "lambda": 0.5,
            "H": [[0.7]]}
@@ -439,6 +439,39 @@ def test_tfbm_line_other_methods_exit_schema(tmp_path, capsys, command, doc):
     code, _ = run(tmp_path, command, doc)
     assert code == EXIT_SCHEMA
     assert "config error" in capsys.readouterr().err
+
+
+SEMI_LRD = {"estimator": "semi_lrd", "spec": IB_SPEC}
+
+
+@pytest.mark.parametrize("doc,field", [
+    (dict(SEMI_LRD, lags_small="abc"), "lags_small"),
+    (dict(SEMI_LRD, lags_large=[[1, 2], [3]]), "lags_large"),
+    (dict(SEMI_LRD, lambda_target="0.5"), "lambda_target"),
+    (dict(SEMI_LRD, slope_tolerance="x"), "slope_tolerance"),
+    ({"estimator": "directional_holder", "direction": "x"}, "direction"),
+    ({"estimator": "directional_holder", "tolerance": "0.1",
+      "target": 0.5}, "tolerance"),
+    ({"estimator": "box_dimension", "scales": "abc"}, "scales"),
+    ({"estimator": "box_dimension", "target": "1.3", "tolerance": 0.2},
+     "target"),
+], ids=["semi_lrd_lags_small_string", "semi_lrd_lags_large_ragged",
+        "semi_lrd_lambda_target_string", "semi_lrd_slope_tolerance_string",
+        "holder_direction_string", "holder_tolerance_string",
+        "box_scales_string", "box_target_string"])
+def test_estimate_non_number_exits_schema(tmp_path, capsys, doc, field):
+    # the realizations exist and would serve both estimators
+    path = os.path.join(tmp_path, "line.trf")
+    grid = GridSpec([(0.0, 1.0)], [257])
+    Realization(grid, np.sin(8.0 * grid.sites()[:, 0]), {}).save(path)
+    if doc["estimator"] != "semi_lrd":
+        doc = dict(doc, realizations=[path])
+    code, out = run(tmp_path, "estimate", doc)
+    assert code == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{field} must be" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "estimate_report.json"))
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])

@@ -567,11 +567,12 @@ def test_ma_draw_does_not_depend_on_n_draws():
 
 
 def test_block_gemm_matches_per_draw_loop(monkeypatch):
-    # two draws per GEMM block: five draws cross two block boundaries
+    # two draws per GEMM block (u, w and the CMS work, four doubles per
+    # node): five draws cross two block boundaries
     igrid = GridSpec([(-60.0, 1.0)], [257])
     nodes = igrid.midpoints()[:, 0]
     dvol = igrid.cell_volume
-    monkeypatch.setattr(simulate, "_NOISE_BLOCK_BYTES", 2 * 8 * len(nodes))
+    monkeypatch.setattr(simulate, "_NOISE_SPAN_BYTES", 2 * 4 * 8 * len(nodes))
     hurst, alpha, lam = 0.7, 1.5, 0.3
     times = np.array([0.25, 0.5, 1.0])
     got = tfsm_synthesis(hurst, alpha, lam, times, igrid, 4, n_draws=5)
@@ -660,8 +661,8 @@ def test_ma_kernel_node_spans_match_dense_formula(case, monkeypatch):
 
 
 def _span_cases():
-    """name -> (draws(n_draws), index of the origin): MA d = 1 (lattice
-    kernel), TFSM and the d = 2 diag_power phi."""
+    """name -> (draws(n_draws), index of the origin, nodes): MA d = 1
+    (lattice kernel), TFSM and the d = 2 diag_power phi."""
     spec2, grid2, igrid2 = _ma_cases()["diag_power_d2"]
     igrid1 = GridSpec([(-40.0, 41.0)], [243])
 
@@ -670,17 +671,17 @@ def _span_cases():
             spec, grid, igrid, 8, n_draws=n, require_coverage=False)])
     return {
         "ma_d1": (ma(make_ma_spec(), GridSpec([(-0.25, 0.75)], [9]),
-                     igrid1), 2),
+                     igrid1), 2, 242),
         "tfsm": (lambda n: tfsm_synthesis(0.7, 1.5, 0.3, [0.0, 0.25, 1.0],
-                                          igrid1, 8, n_draws=n), 0),
-        "diag_power_d2": (ma(spec2, grid2, igrid2), 4),
+                                          igrid1, 8, n_draws=n), 0, 242),
+        "diag_power_d2": (ma(spec2, grid2, igrid2), 4, 144),
     }
 
 
 @pytest.mark.parametrize("case", ["ma_d1", "tfsm", "diag_power_d2"])
 def test_two_node_spans_match_one_span(case, monkeypatch):
     # the sum over node spans only reorders the Riemann sum
-    draws, origin = _span_cases()[case]
+    draws, origin, _ = _span_cases()[case]
     one = draws(4)
     monkeypatch.setattr(simulate, "_KERNEL_BLOCK_BYTES", 2 * 8 * one.shape[1])
     two = draws(4)
@@ -688,26 +689,79 @@ def test_two_node_spans_match_one_span(case, monkeypatch):
     assert np.all(two[:, origin] == 0.0) and np.all(one[:, origin] == 0.0)
 
 
+@pytest.mark.parametrize("case", ["ma_d1", "tfsm", "diag_power_d2"])
+def test_draws_do_not_depend_on_the_partition(case, monkeypatch):
+    # three kernel columns per span (every draw on two generators), one
+    # draw per block (u, w and the CMS work of one draw's nodes) and the
+    # default: each span and block reads the noise one call reads
+    draws, origin, m = _span_cases()[case]
+    fill = simulate._CellNoise.fill
+    calls = []
+
+    def spy(self, gens, width, buf):
+        calls.append((len(gens), width))
+        return fill(self, gens, width, buf)
+    monkeypatch.setattr(simulate._CellNoise, "fill", spy)
+
+    def partition(name=None, value=None):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            if name:
+                patch.setattr(simulate, name, value)
+            return draws(4), list(calls)
+    default, spans = partition()
+    assert spans == [(4, m)]
+    narrow, spans = partition("_KERNEL_BLOCK_BYTES", 3 * 8 * default.shape[1])
+    assert spans == [(4, 3)] * (m // 3) + [(4, m % 3)] * (m % 3 > 0)
+    single, spans = partition("_NOISE_SPAN_BYTES", 4 * 8 * m)
+    assert spans == [(1, m)] * 4
+    for got in (narrow, single):
+        _assert_rel(got, default, rtol=1e-13)
+        assert np.all(got[:, origin] == 0.0)
+
+
+@pytest.mark.parametrize("count", [1, 5, 513, 625, 8193])
+def test_split_streams_read_what_one_call_reads(count):
+    # a draw read in spans of 7 values: uniforms from output 0 of stream
+    # j and exponentials from output count, as one generator reads them
+    noise = simulate._CellNoise(1.5, 1.0)
+    gen = philox_stream(3, 11)
+    u, w = gen.random(count), gen.standard_exponential(count)
+    uni, expo = noise.streams(3, 11, count, 2)
+    assert uni is not expo
+    for c0 in range(0, count, 7):
+        c1 = min(c0 + 7, count)
+        assert np.array_equal(uni.random(c1 - c0), u[c0:c1])
+        assert np.array_equal(expo.standard_exponential(c1 - c0), w[c0:c1])
+    uni, expo = noise.streams(3, 11, count, 1)
+    assert uni is expo
+
+
 def test_riemann_sum_peak_memory_is_bounded():
-    # 513 sites x 8192 nodes: G is 33.6 MB whole, its noise 4.2 MB
-    # (64 draws) and 8.4 MB (128 draws); only 2 MiB spans of G are held
+    # 513 sites x 8192 nodes: G is 33.6 MB whole, the noise of 128 draws
+    # 8.4 MB and of 1024 draws 67 MB; beside the output's 8 rows n_draws
+    # bytes only a 2 MiB span of G and 2 MiB of a block's noise are held
     import tracemalloc
 
     spec = make_ma_spec(lam=0.5, hurst=0.7)
     grid = GridSpec([(-2.0, 14.0)], [513])
     igrid = GridSpec([(-122.0, 134.0)], [8193])
     times = grid.sites()[:, 0]
-    peaks = []
-    for run in (lambda: ma_synthesis(spec, grid, igrid, 3, n_draws=64),
-                lambda: tfsm_synthesis(0.7, 1.5, 0.5, times, igrid, 3,
-                                       n_draws=128)):
+    above = []
+    for n_draws, run in (
+            (64, lambda: ma_synthesis(spec, grid, igrid, 3, n_draws=64)),
+            (128, lambda: tfsm_synthesis(0.7, 1.5, 0.5, times, igrid, 3,
+                                         n_draws=128)),
+            (1024, lambda: tfsm_synthesis(0.7, 1.5, 0.5, times, igrid, 3,
+                                          n_draws=1024))):
         tracemalloc.start()
         try:
             run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            above.append(tracemalloc.get_traced_memory()[1]
+                         - 8 * len(times) * n_draws)
         finally:
             tracemalloc.stop()
-    assert max(peaks) <= 12e6, peaks
+    assert max(above) <= 6e6, above
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +888,7 @@ def test_draw_engine_matches_per_draw_loop(case, monkeypatch):
     if case == "exact_n2":
         model, grid = _ib_n2_model()
         rows = grid.n_sites * 2
-        monkeypatch.setattr(simulate, "_NOISE_BLOCK_BYTES", 2 * 8 * rows)
+        monkeypatch.setattr(simulate, "_NOISE_SPAN_BYTES", 2 * 8 * rows)
         reals = gaussian_exact_many(model, grid, 12, 5)
         gram = model.gram(grid.sites(), check_psd=False)
         chol, _ = simulate._factor_gram(gram, grid.n_sites)

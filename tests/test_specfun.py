@@ -571,6 +571,30 @@ def test_cms_batch_matches_general_expression(alpha, rtol):
                                rtol=rtol, atol=0)
 
 
+@pytest.mark.parametrize("alpha, rtol", [(0.5, 5e-14), (1.5, 5e-14),
+                                         (2.0, 5e-14), (1.999, 5e-13)])
+def test_cms_batch_tails_match_mpmath(alpha, rtol):
+    # theta = (u - 1/2) pi within 2^-53 .. 1e-6 of -pi/2 and pi/2, where
+    # cos(theta) = (1 - t^2) / (1 + t^2) of t = tan(theta / 2) loses its
+    # bits; the oracle takes the same double theta
+    mpmath = pytest.importorskip("mpmath")
+    u = np.array([v for e in (2.0 ** -53, 1e-12, 1e-9, 1e-6)
+                  for v in (e, 1.0 - e)])
+    theta = (u - 0.5) * math.pi
+    w = np.full(theta.shape, 0.7)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        want = [float(mpmath.sin(a * t) * mpmath.cos(t) ** (-1 / a)
+                      * (mpmath.cos((1 - a) * t) / mpmath.mpf(0.7))
+                      ** ((1 - a) / a)) for t in map(mpmath.mpf, theta)]
+    got = _fast.cms_batch(theta, w, alpha)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+    # in place, on the caller's work arrays, the same values
+    inplace = _fast.cms_batch(theta.copy(), w.copy(), alpha,
+                              np.empty((2,) + theta.shape))
+    assert np.array_equal(inplace, got)
+
+
 def _where_power(r, expo, lam):
     """r^expo e^{-lam |r|} for r > 0, else 0, as a masked np.where."""
     with np.errstate(divide="ignore", invalid="ignore"):
